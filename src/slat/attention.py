@@ -6,10 +6,14 @@ to and are attended by everything. Q/K/V projection weights are factored as
 ``W = U @ V`` with a small inner rank, which cuts the parameter count of each
 projection from ``d_model * d_head`` to ``r * (d_model + d_head)``.
 
+One core serves every entry point: :func:`_project` (``(x @ u) @ v``) and
+:func:`_attend` (scores, masked softmax, context). The reference API and the
+model's cached :func:`mha_forward` / :func:`mha_backward` are views over it.
+
 Masked logits are dropped to -inf before the softmax by default, so masked
-weights are exact zeros. The alternative ``"hadamard"`` mode multiplies the
-raw logits by the mask instead, leaving masked entries at logit 0; it exists
-for comparison and is not used by the model.
+weights are exact zeros. The alternative ``"hadamard"`` mode, selected by
+``SlatConfig.mask_mode``, multiplies the raw logits by the mask instead,
+leaving masked entries at logit 0.
 """
 
 from __future__ import annotations
@@ -80,11 +84,20 @@ class LowRankProjection:
         return self.u.size + self.v.size
 
 
+def _project(x, u, v):
+    """``(x @ u) @ v``, or ``x @ u`` when ``v`` is None (dense weight).
+    Returns (output, x @ u kept for the backward pass, or None when dense)."""
+    hid = x @ u
+    if v is None:
+        return hid, None
+    return hid @ v, hid
+
+
 def lowrank_project(x: np.ndarray, proj: LowRankProjection) -> np.ndarray:
     """``x @ u @ v`` evaluated as ``(x @ u) @ v`` so cost stays linear in rank."""
     if x.shape[-1] != proj.u.shape[0]:
         raise ValueError(f"input feature dim {x.shape[-1]} != projection dim {proj.u.shape[0]}")
-    return (x @ proj.u) @ proj.v
+    return _project(x, proj.u, proj.v)[0]
 
 
 @dataclass(frozen=True)
@@ -139,35 +152,36 @@ def masked_attention(
         raise ValueError(f"mask length {mask.length} != token count {q.shape[-2]}")
     if scale is None:
         scale = 1.0 / np.sqrt(q.shape[-1])
+    values, weights = _attend(q, k, v, None if mask is None else mask.dense, mode, scale)
+    return AttentionOutput(values=values, weights=weights)
+
+
+def _attend(q, k, v, allowed, mode, scale):
+    """Scaled scores, masked softmax and context over (..., L, d_head) inputs.
+    Returns (context, attention weights)."""
     logits = (q @ np.swapaxes(k, -1, -2)) * scale
-    weights = masked_softmax(logits, None if mask is None else mask.dense, mode)
-    return AttentionOutput(values=weights @ v, weights=weights)
+    attn = masked_softmax(logits, allowed, mode)
+    return attn @ v, attn
 
 
 # ---------------------------------------------------------------------------
 # Cached multi-head attention used by the model. Heads are stacked on axis 0
 # of the factor arrays: u (H, d_in, r), v (H, r, d_head). Dense (unfactored)
-# projections use a single stacked weight (H, d_in, d_head) instead.
+# projections use a single stacked weight (H, d_in, d_head) instead. Inputs
+# (B, L, d_in) gain a head axis, x[:, None], so ``@`` broadcasts over heads.
 # ---------------------------------------------------------------------------
 
 
-def _project(x, u, v):
-    """Per-head projection of x (B, L, d) -> (B, H, L, d_head) with cache."""
-    if v is None:  # dense weights (H, d, e)
-        return np.einsum("bld,hde->bhle", x, u), None
-    hid = np.einsum("bld,hdr->bhlr", x, u)
-    return np.einsum("bhlr,hre->bhle", hid, v), hid
-
-
 def _project_backward(g, x, u, v, hid):
-    if v is None:
-        gu = np.einsum("bld,bhle->hde", x, g)
-        gx = np.einsum("bhle,hde->bld", g, u)
-        return gx, gu, None
-    ghid = np.einsum("bhle,hre->bhlr", g, v)
-    gv = np.einsum("bhlr,bhle->hre", hid, g)
-    gu = np.einsum("bld,bhlr->hdr", x, ghid)
-    gx = np.einsum("bhlr,hdr->bld", ghid, u)
+    """Gradients of :func:`_project` of x[:, None] (x is (B, L, d)) given
+    g = d loss/d output (B, H, L, d_head). Returns (gx, gu, gv); gv is None
+    when dense."""
+    gv = None
+    if v is not None:
+        gv = (np.swapaxes(hid, -1, -2) @ g).sum(axis=0)
+        g = g @ np.swapaxes(v, -1, -2)
+    gu = (np.swapaxes(x, -1, -2)[:, None] @ g).sum(axis=0)
+    gx = (g @ np.swapaxes(u, -1, -2)).sum(axis=1)
     return gx, gu, gv
 
 
@@ -183,14 +197,12 @@ def mha_forward(
     ``weights`` holds q_u/k_u/v_u (and the matching *_v factors when
     low-rank) plus out_w/out_b. Returns (output (B, Lq, d_model), cache).
     """
-    q, q_hid = _project(x_q, weights["q_u"], weights.get("q_v"))
-    k, k_hid = _project(x_kv, weights["k_u"], weights.get("k_v"))
-    v, v_hid = _project(x_kv, weights["v_u"], weights.get("v_v"))
+    q, q_hid = _project(x_q[:, None], weights["q_u"], weights.get("q_v"))
+    k, k_hid = _project(x_kv[:, None], weights["k_u"], weights.get("k_v"))
+    v, v_hid = _project(x_kv[:, None], weights["v_u"], weights.get("v_v"))
     scale = 1.0 / np.sqrt(q.shape[-1])
-    logits = np.einsum("bhle,bhme->bhlm", q, k) * scale
     allowed = None if mask is None else mask.dense
-    attn = masked_softmax(logits, allowed, mode)
-    ctx = np.einsum("bhlm,bhme->bhle", attn, v)
+    ctx, attn = _attend(q, k, v, allowed, mode, scale)
     b, h, lq, e = ctx.shape
     concat = ctx.transpose(0, 2, 1, 3).reshape(b, lq, h * e)
     out = concat @ weights["out_w"] + weights["out_b"]
@@ -210,15 +222,15 @@ def mha_backward(gy: np.ndarray, cache):
     g_concat = gy @ weights["out_w"].T
     g_ctx = g_concat.reshape(b, lq, h, e).transpose(0, 2, 1, 3)
 
-    g_attn = np.einsum("bhle,bhme->bhlm", g_ctx, v)
-    g_v = np.einsum("bhlm,bhle->bhme", attn, g_ctx)
+    g_attn = g_ctx @ np.swapaxes(v, -1, -2)
+    g_v = np.swapaxes(attn, -1, -2) @ g_ctx
     # softmax backward; rows of attn are exact zeros off-mask so the masked
     # entries contribute nothing in neg_inf mode
     g_logits = attn * (g_attn - np.sum(g_attn * attn, axis=-1, keepdims=True))
     if mode == "hadamard" and allowed is not None:
         g_logits = g_logits * allowed
-    g_q = np.einsum("bhlm,bhme->bhle", g_logits, k) * scale
-    g_k = np.einsum("bhlm,bhle->bhme", g_logits, q) * scale
+    g_q = (g_logits @ k) * scale
+    g_k = (np.swapaxes(g_logits, -1, -2) @ q) * scale
 
     grads = {"out_w": g_out_w, "out_b": g_out_b}
     gx_q, grads["q_u"], gqv = _project_backward(g_q, x_q, weights["q_u"], weights.get("q_v"), q_hid)

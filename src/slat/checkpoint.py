@@ -62,5 +62,7 @@ def load_checkpoint(path):
         trailing = fh.read(1)
         if trailing:
             raise ValueError(f"{path}: trailing bytes after last tensor")
-    cfg = SlatConfig.from_dict(header["config"])
+    config = dict(header["config"])
+    config.pop("dtype", None)  # a field of configs written before all models were float64
+    cfg = SlatConfig.from_dict(config)
     return params, cfg, header.get("pipeline", {})

@@ -21,7 +21,7 @@ from . import corpus as corpus_mod
 from .evaluation import (ConstantMeanBaseline, LinearWindowBaseline,
                          evaluate, model_predictor, rtf_series, write_rtf_csv)
 from .gradcheck import check_model_gradients
-from .model import SlatConfig
+from .model import SlatConfig, param_shapes
 from .training import TrainConfig, train, write_history
 from .windowing import LabelConfig, build_dataset
 
@@ -86,8 +86,11 @@ def _model_config_for(corpus, overrides_path) -> SlatConfig:
               "rul_cap": corpus.rul_cap}
     if overrides_path:
         with open(overrides_path, "r", encoding="utf-8") as fh:
-            fields.update(json.load(fh))
-    return SlatConfig(**fields)
+            overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ValueError(f"{overrides_path}: model config must be a JSON object")
+        fields.update(overrides)
+    return SlatConfig.from_dict(fields)
 
 
 def _cmd_generate(args) -> int:
@@ -135,14 +138,34 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _check_tensors(params, model_cfg) -> None:
+    want = dict(param_shapes(model_cfg))
+    got = {name: arr.shape for name, arr in params.items()}
+    bad = sorted(name for name in set(want) | set(got) if got.get(name) != want.get(name))
+    if bad:
+        raise ValueError(
+            f"checkpoint tensors do not match its model config at {len(bad)} name(s); "
+            f"{bad[0]}: stored {got.get(bad[0])}, config wants {want.get(bad[0])}")
+
+
 def _load_predictor(path, corpus):
+    """Load a checkpoint and check it against its own config and the corpus."""
     params, model_cfg, pipeline = ckpt.load_checkpoint(path)
+    _check_tensors(params, model_cfg)
     if pipeline.get("n_stw", corpus.n_stw) != corpus.n_stw:
         raise ValueError(
             f"checkpoint was trained with n_stw={pipeline['n_stw']}, "
             f"corpus uses {corpus.n_stw}")
     if pipeline.get("channels") and pipeline["channels"] != corpus.channels:
         raise ValueError("checkpoint channel list does not match corpus")
+    if pipeline.get("rul_cap", corpus.rul_cap) != corpus.rul_cap:
+        raise ValueError(
+            f"checkpoint was trained with rul_cap={pipeline['rul_cap']}, "
+            f"corpus uses {corpus.rul_cap}")
+    stats = corpus.stats.to_dict()
+    if pipeline.get("norm_stats", stats) != stats:
+        raise ValueError("checkpoint normalization statistics do not match corpus; "
+                         "it was trained on another corpus")
     return model_predictor(params, model_cfg)
 
 

@@ -14,7 +14,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -124,16 +124,14 @@ class Corpus:
 def generate_corpus(out_dir, master_seed: int, n_per_mode: int = 10,
                     n_stw: int = 30, stride: int = 1, rul_cap: float = 125.0,
                     noise_scale: float = 1.0, train_frac: float = 0.8,
-                    sim_configs: Sequence[SimConfig] | None = None,
-                    modes: Iterable[FaultMode] | None = None) -> Corpus:
+                    sim_configs: Sequence[SimConfig] | None = None) -> Corpus:
     """Simulate every fault mode, split per mode, fit train-split stats and
     write the corpus. Returns the loaded result."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if sim_configs is None:
-        wanted = list(modes) if modes is not None else list(FaultMode)
         sim_configs = [SimConfig(mode=m, n_trajectories=n_per_mode,
-                                 noise_scale=noise_scale) for m in wanted]
+                                 noise_scale=noise_scale) for m in FaultMode]
 
     trajs: dict = {}
     meta: dict = {}

@@ -17,10 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import SlatConfig, predict_rul
+from .model import SlatConfig, predict_rul, stack_samples
 from .windowing import (FaultMode, LabelConfig, NormStats, Trajectory,
-                        build_dataset, compute_descriptors, label_rul,
-                        slide_windows)
+                        build_dataset)
 
 MODE_ORDER = tuple(m.value for m in FaultMode)
 
@@ -89,10 +88,8 @@ def evaluate(predict_fn: Callable, trajectories: Sequence[Trajectory],
     sq_err: dict = {}
     counts: dict = {}
     for traj in trajectories:
-        samples = build_dataset([traj], n_stw, stride, label_cfg, stats)
-        values = np.stack([s.values for s in samples])
-        descriptors = np.stack([s.descriptors for s in samples])
-        targets = np.array([s.rul_target for s in samples])
+        values, descriptors, targets = stack_samples(
+            build_dataset([traj], n_stw, stride, label_cfg, stats))
         preds = np.asarray(predict_fn(values, descriptors), dtype=np.float64)
         if preds.shape != targets.shape:
             raise ValueError(
@@ -133,16 +130,12 @@ def rtf_series(predict_fn: Callable, traj: Trajectory, stats: NormStats,
     if traj.n_steps < n_stw:
         raise ValueError(
             f"trajectory {traj.traj_id} has {traj.n_steps} steps < n_stw={n_stw}")
-    bounds = slide_windows(traj, n_stw, stride=1)
-    raw = [traj.channels[s:e] for s, e in bounds]
-    values = np.stack([stats.normalize_values(w) for w in raw])
-    descriptors = np.stack(
-        [stats.normalize_descriptors(compute_descriptors(w)) for w in raw])
-    labels = label_rul(traj, label_cfg)
-    t = np.arange(n_stw - 1, traj.n_steps)
+    values, descriptors, targets = stack_samples(
+        build_dataset([traj], n_stw, 1, label_cfg, stats))
     preds = np.asarray(predict_fn(values, descriptors), dtype=np.float64)
-    return RtfSeries(traj_id=traj.traj_id, mode=traj.mode.value, t=t,
-                     true_rul=labels[t], pred_rul=preds)
+    return RtfSeries(traj_id=traj.traj_id, mode=traj.mode.value,
+                     t=np.arange(n_stw - 1, traj.n_steps),
+                     true_rul=targets, pred_rul=preds)
 
 
 def write_rtf_csv(path, series: RtfSeries) -> None:
@@ -197,9 +190,7 @@ class LinearWindowBaseline:
     def fit(self, samples: Sequence) -> "LinearWindowBaseline":
         if len(samples) == 0:
             raise ValueError("no samples to fit")
-        values = np.stack([s.values for s in samples])
-        descriptors = np.stack([s.descriptors for s in samples])
-        y = np.array([s.rul_target for s in samples], dtype=np.float64)
+        values, descriptors, y = stack_samples(samples)
         x = self._features(values, descriptors)
         gram = x.T @ x
         rhs = x.T @ y

@@ -31,7 +31,6 @@ TINY_CONFIG = SlatConfig(
     band_width=1,
     n_global=1,
     dropout=0.0,
-    dtype="float64",
 )
 
 

@@ -41,7 +41,6 @@ class SlatConfig:
     dropout: float = 0.1
     rul_cap: float = 125.0
     mask_mode: str = "neg_inf"
-    dtype: str = "float64"
 
     def __post_init__(self):
         if self.d_model % self.heads != 0:
@@ -60,22 +59,19 @@ class SlatConfig:
             raise ValueError(f"rul_cap must be positive and finite, got {self.rul_cap}")
         if self.mask_mode not in ("neg_inf", "hadamard"):
             raise ValueError(f"unknown mask_mode {self.mask_mode!r}")
-        if self.dtype not in ("float64", "float32"):
-            raise ValueError(f"dtype must be float64 or float32, got {self.dtype!r}")
 
     @property
     def d_head(self) -> int:
         return self.d_model // self.heads
-
-    @property
-    def np_dtype(self):
-        return np.dtype(self.dtype)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SlatConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown model config field(s): {', '.join(unknown)}")
         return cls(**d)
 
     def dense_variant(self) -> "SlatConfig":
@@ -151,20 +147,19 @@ _EMBED_LIKE = ("decoder.query", "sensor_embed.ident")
 
 def init_params(cfg: SlatConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Fan-in scaled uniform weights; zero biases; unit layer-norm gains."""
-    dt = cfg.np_dtype
     params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(cfg):
         if name.endswith(".g"):
-            params[name] = np.ones(shape, dtype=dt)
+            params[name] = np.ones(shape)
         elif name.endswith((".b", ".b1", ".b2")):
-            params[name] = np.zeros(shape, dtype=dt)
+            params[name] = np.zeros(shape)
         else:
             if name in _EMBED_LIKE:
                 fan_in = cfg.d_model
             else:
                 fan_in = shape[-2] if len(shape) >= 2 else shape[-1]
             bound = 1.0 / math.sqrt(fan_in)
-            params[name] = rng.uniform(-bound, bound, size=shape).astype(dt)
+            params[name] = rng.uniform(-bound, bound, size=shape)
     return params
 
 
@@ -312,12 +307,6 @@ def _encoder_backward(gy, params, name, cache, grads):
     return gy
 
 
-def encoder_forward(tokens, params, cfg: SlatConfig, name: str, mask: SparseMask) -> np.ndarray:
-    """Run one encoder stack (inference mode) over tokens (B, L, d_model)."""
-    n_blocks = cfg.time_blocks if name == "time_enc" else cfg.sensor_blocks
-    return _encoder_forward(tokens, params, cfg, name, n_blocks, mask, False, None)[0]
-
-
 # -- full network -------------------------------------------------------------
 
 def masks_for(cfg: SlatConfig) -> tuple[SparseMask, SparseMask]:
@@ -332,9 +321,8 @@ def forward(params, cfg: SlatConfig, values, descriptors, *, train=False, rng=No
 
     values: (B, n_stw, S) normalized window tensors; descriptors: (B, 2S).
     """
-    dt = cfg.np_dtype
-    values = np.asarray(values, dtype=dt)
-    descriptors = np.asarray(descriptors, dtype=dt)
+    values = np.asarray(values, dtype=np.float64)
+    descriptors = np.asarray(descriptors, dtype=np.float64)
     if values.ndim != 3 or values.shape[1:] != (cfg.n_stw, cfg.n_channels):
         raise ValueError(
             f"values shape {values.shape} != (B, {cfg.n_stw}, {cfg.n_channels})")
@@ -356,7 +344,7 @@ def forward(params, cfg: SlatConfig, values, descriptors, *, train=False, rng=No
     mem = fuse(t_out, s_out)
 
     b = values.shape[0]
-    q = np.broadcast_to(params["decoder.query"], (b, 1, cfg.d_model)).astype(dt)
+    q = np.broadcast_to(params["decoder.query"], (b, 1, cfg.d_model))
     dec_caches = []
     for i in range(cfg.decoder_blocks):
         q, c = _block_forward(q, mem, params, cfg, f"decoder.{i}.", None, train, rng)
@@ -376,7 +364,7 @@ def backward(params, cfg: SlatConfig, cache, gpreds) -> dict[str, np.ndarray]:
     b, n, s = shape
     grads: dict[str, np.ndarray] = {}
 
-    gq = np.asarray(gpreds, dtype=cfg.np_dtype).reshape(b, 1, 1)
+    gq = np.asarray(gpreds, dtype=np.float64).reshape(b, 1, 1)
     gq, gw, gbias = layers.linear_backward(gq, head_cache)
     grads["head.w"] = gw
     grads["head.b"] = gbias

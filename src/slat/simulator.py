@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -347,21 +346,3 @@ def trajectory_seed(master_seed: int, mode: FaultMode, index: int) -> np.random.
     mode_idx = list(FaultMode).index(mode)
     return np.random.SeedSequence(entropy=(int(master_seed), mode_idx, int(index)))
 
-
-def simulate_mode(cfg: SimConfig, master_seed: int) -> list[Trajectory]:
-    """All trajectories of one mode, ids ``<MODE>_<index>``."""
-    out = []
-    for i in range(cfg.n_trajectories):
-        out.append(simulate_trajectory(
-            cfg, trajectory_seed(master_seed, cfg.mode, i),
-            traj_id=f"{cfg.mode.value}_{i:03d}"))
-    return out
-
-
-def default_sim_configs(n_trajectories: int = 10, noise_scale: float = 1.0,
-                        drift_rate_bounds=None) -> list[SimConfig]:
-    return [
-        SimConfig(mode=m, n_trajectories=n_trajectories, noise_scale=noise_scale,
-                  drift_rate_bounds=drift_rate_bounds)
-        for m in FaultMode
-    ]

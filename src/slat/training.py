@@ -165,13 +165,12 @@ def _copy_params(params: dict) -> dict:
 
 def train(samples: Sequence, model_cfg: SlatConfig,
           train_cfg: TrainConfig | None = None,
-          val_samples: Sequence | None = None,
           init: dict | None = None) -> TrainResult:
     """Train on window samples; track the best validation checkpoint.
 
-    With no explicit val_samples, a trajectory-level fraction of the input is
-    held out. With val_fraction 0 (or a single source trajectory) the final
-    parameters double as the best ones.
+    A trajectory-level fraction of the input is held out for validation.
+    With val_fraction 0 (or a single source trajectory) the final parameters
+    double as the best ones. ``init`` replaces the seeded initial parameters.
     """
     tcfg = train_cfg or TrainConfig()
     if len(samples) == 0:
@@ -180,14 +179,8 @@ def train(samples: Sequence, model_cfg: SlatConfig,
         np.random.SeedSequence(entropy=(int(tcfg.seed), 0x7261494E)))
 
     samples = list(samples)
-    if val_samples is not None:
-        train_idx = list(range(len(samples)))
-        val_ids = sorted({s.traj_id for s in val_samples})
-        val_list = list(val_samples)
-    else:
-        train_idx, val_idx, val_ids = split_by_trajectory(
-            samples, tcfg.val_fraction, rng)
-        val_list = [samples[i] for i in val_idx]
+    train_idx, val_idx, val_ids = split_by_trajectory(samples, tcfg.val_fraction, rng)
+    val_list = [samples[i] for i in val_idx]
     if not train_idx:
         raise ValueError("validation split consumed all trajectories")
 

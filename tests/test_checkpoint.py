@@ -1,7 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from slat.checkpoint import load_checkpoint, save_checkpoint
+from slat.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from slat.model import SlatConfig, init_params
 
 
@@ -73,3 +76,23 @@ def test_scalar_and_vector_shapes_preserved(tmp_path):
     assert loaded["w"].shape == (2, 3)
     assert loaded["q"].shape == (4,)
     assert pipe == {}
+
+
+def test_header_with_legacy_dtype_field_loads(tmp_path, tiny_state):
+    """Checkpoints written while SlatConfig had a dtype field still load."""
+    params, cfg, pipeline = tiny_state
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, params, cfg, pipeline)
+    data = path.read_bytes()
+    (head_len,) = struct.unpack("<Q", data[len(MAGIC):len(MAGIC) + 8])
+    start = len(MAGIC) + 8
+    header = json.loads(data[start:start + head_len])
+    header["config"]["dtype"] = "float64"
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    legacy = tmp_path / "legacy.ckpt"
+    legacy.write_bytes(MAGIC + struct.pack("<Q", len(head)) + head
+                       + data[start + head_len:])
+    loaded, cfg2, _ = load_checkpoint(legacy)
+    assert cfg2 == cfg
+    for k in params:
+        np.testing.assert_array_equal(loaded[k], params[k])

@@ -1,9 +1,12 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from slat.cli import main
+from slat.checkpoint import load_checkpoint, save_checkpoint
+from slat.cli import _build_parser, main
 from slat.simulator import MODE_BASE_RATE
 from slat.windowing import FaultMode
 
@@ -69,6 +72,20 @@ class TestTrain:
         assert pipeline["n_stw"] == 30
         assert "norm_stats" in pipeline
 
+    @pytest.mark.parametrize("config, named", [
+        ({**TINY_MODEL, "d_modle": 8}, "d_modle"),
+        ([8], "JSON object"),
+    ], ids=["unknown_field", "not_an_object"])
+    def test_bad_model_config_is_runtime_error(self, workdir, tmp_path, capsys,
+                                               config, named):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(config))
+        rc = main(["train", "--corpus", str(workdir["corpus"]),
+                   "--out", str(tmp_path / "run"), "--epochs", "1",
+                   "--model-config", str(path)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_prints_table_and_writes_json(self, workdir, tmp_path, capsys):
@@ -93,6 +110,31 @@ class TestEvaluate:
         rc = main(["evaluate", "--corpus", str(other),
                    "--checkpoint", str(workdir["run"] / "model.ckpt")])
         assert rc == 2
+
+    @pytest.mark.parametrize("change", ["missing", "unexpected"])
+    def test_checkpoint_tensors_must_match_its_config(self, workdir, tmp_path,
+                                                      change, capsys):
+        params, cfg, pipeline = load_checkpoint(workdir["run"] / "model.ckpt")
+        if change == "missing":
+            del params["head.w"]
+        else:
+            params["head.extra"] = params["head.b"].copy()
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, params, cfg, pipeline)
+        rc = main(["evaluate", "--corpus", str(workdir["corpus"]),
+                   "--checkpoint", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "head." in err and len(err.strip().splitlines()) == 1
+
+    def test_checkpoint_from_another_corpus_is_runtime_error(self, workdir, tmp_path):
+        other = tmp_path / "other_corpus"
+        assert main(["generate", "--out", str(other), "--seed", "9",
+                     "--trajectories", "2", "--n-stw", "30"]) == 0
+        ckpt = str(workdir["run"] / "model.ckpt")
+        assert main(["evaluate", "--corpus", str(other), "--checkpoint", ckpt]) == 2
+        assert main(["rtf", "--corpus", str(other), "--checkpoint", ckpt,
+                     "--out", str(tmp_path / "trace.csv")]) == 2
 
 
 class TestRtf:
@@ -150,3 +192,18 @@ class TestExitCodes:
         rc = main(["evaluate", "--corpus", str(tmp_path / "missing"),
                    "--checkpoint", str(tmp_path / "missing.ckpt")])
         assert rc == 2
+
+
+def test_readme_commands_parse():
+    """Every ``slat ...`` line of the README's command-line walkthrough, with
+    backslash continuations joined, is accepted by the argument parser."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [line.strip() for line in block.replace("\\\n", " ").splitlines()
+                if line.strip().startswith("slat ")]
+    assert len(commands) >= 9
+    for command in commands:
+        try:
+            _build_parser().parse_args(shlex.split(command)[1:])
+        except SystemExit as exc:
+            raise AssertionError(f"README command does not parse: {command}") from exc

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from slat.attention import build_mask
+from slat.gradcheck import TINY_CONFIG, check_model_gradients
 from slat.model import (SlatConfig, backward, embed_sensor_tokens,
                         embed_time_tokens, forward, fuse, init_params,
                         masks_for, param_count, param_shapes, predict_rul,
@@ -46,6 +49,10 @@ class TestConfig:
 
     def test_dense_variant_drops_factorization(self):
         assert SlatConfig().dense_variant().rank is None
+
+    def test_from_dict_names_unknown_fields(self):
+        with pytest.raises(ValueError, match="d_modle"):
+            SlatConfig.from_dict({**TINY.to_dict(), "d_modle": 8})
 
 
 class TestParams:
@@ -208,6 +215,16 @@ class TestBackward:
         for k, g in grads.items():
             assert g.shape == params[k].shape, k
             assert np.all(np.isfinite(g)), k
+
+    @pytest.mark.parametrize("overrides", [
+        {"rank": None},
+        {"mask_mode": "hadamard"},
+        {"n_global": 0},
+    ], ids=["dense", "hadamard", "no_globals"])
+    def test_every_backward_branch_matches_finite_differences(self, overrides):
+        result = check_model_gradients(replace(TINY_CONFIG, **overrides), seed=0,
+                                       threshold=1e-3)
+        assert result.passed, result.worst(3)
 
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(10)
