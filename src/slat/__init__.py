@@ -20,8 +20,8 @@ from .simulator import (CHANNELS, ControllerConfig, OperatingPoint, SimConfig,
                         simulate_trajectory)
 from .training import TrainConfig, TrainResult, train
 from .windowing import (FaultMode, LabelConfig, NormStats, Trajectory,
-                        WindowSample, build_dataset, compute_descriptors,
-                        label_rul, slide_windows, window_bounds)
+                        Windows, build_dataset, compute_descriptors,
+                        label_rul, window_bounds)
 
 __version__ = "0.1.0"
 
@@ -39,8 +39,7 @@ __all__ = [
     "CHANNELS", "ControllerConfig", "OperatingPoint", "SimConfig",
     "simulate_trajectory",
     "TrainConfig", "TrainResult", "train",
-    "FaultMode", "LabelConfig", "NormStats", "Trajectory", "WindowSample",
-    "build_dataset", "compute_descriptors", "label_rul", "slide_windows",
-    "window_bounds",
+    "FaultMode", "LabelConfig", "NormStats", "Trajectory", "Windows",
+    "build_dataset", "compute_descriptors", "label_rul", "window_bounds",
     "__version__",
 ]

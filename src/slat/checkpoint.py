@@ -44,25 +44,33 @@ def save_checkpoint(path, params: dict, cfg: SlatConfig,
 
 
 def load_checkpoint(path):
-    """Returns (params, config, pipeline)."""
-    with open(Path(path), "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (head_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(head_len).decode("utf-8"))
-        params = {}
-        for rec in header["tensors"]:
-            shape = tuple(rec["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            raw = fh.read(n * 8)
-            if len(raw) != n * 8:
-                raise ValueError(f"{path}: truncated tensor {rec['name']}")
-            params[rec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        trailing = fh.read(1)
-        if trailing:
-            raise ValueError(f"{path}: trailing bytes after last tensor")
+    """Returns (params, config, pipeline). A file that is not a well-formed
+    checkpoint raises ValueError naming it."""
+    try:
+        with open(Path(path), "rb") as fh:
+            return _read_checkpoint(fh)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except (struct.error, KeyError, TypeError) as exc:
+        raise ValueError(
+            f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from None
+
+
+def _read_checkpoint(fh):
+    if fh.read(len(MAGIC)) != MAGIC:
+        raise ValueError("not a checkpoint file")
+    (head_len,) = struct.unpack("<Q", fh.read(8))
+    header = json.loads(fh.read(head_len).decode("utf-8"))
+    params = {}
+    for rec in header["tensors"]:
+        shape = tuple(rec["shape"])
+        n = int(np.prod(shape)) if shape else 1
+        raw = fh.read(n * 8)
+        if len(raw) != n * 8:
+            raise ValueError(f"truncated tensor {rec['name']}")
+        params[rec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    if fh.read(1):
+        raise ValueError("trailing bytes after last tensor")
     config = dict(header["config"])
     config.pop("dtype", None)  # a field of configs written before all models were float64
-    cfg = SlatConfig.from_dict(config)
-    return params, cfg, header.get("pipeline", {})
+    return params, SlatConfig.from_dict(config), dict(header.get("pipeline", {}))

@@ -112,9 +112,9 @@ def _cmd_train(args) -> int:
     train_cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                             epochs=args.epochs, val_fraction=args.val_fraction,
                             seed=args.seed)
-    samples = build_dataset(corpus.train_trajectories(), corpus.n_stw,
+    windows = build_dataset(corpus.train_trajectories(), corpus.n_stw,
                             corpus.stride, corpus.label_config, corpus.stats)
-    result = train(samples, model_cfg, train_cfg)
+    result = train(windows, model_cfg, train_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pipeline = {
@@ -128,7 +128,7 @@ def _cmd_train(args) -> int:
     }
     ckpt.save_checkpoint(out / "model.ckpt", result.best_params, model_cfg, pipeline)
     write_history(out / "history.csv", result.history)
-    print(f"trained on {len(samples)} windows "
+    print(f"trained on {len(windows)} windows "
           f"({len(corpus.ids('train'))} trajectories)")
     print(f"final train loss: {result.final_train_loss:.4f}")
     if result.val_ids:
@@ -202,12 +202,12 @@ def _cmd_rtf(args) -> int:
 
 def _cmd_baseline(args) -> int:
     corpus = corpus_mod.load_corpus(args.corpus)
-    samples = build_dataset(corpus.train_trajectories(), corpus.n_stw,
+    windows = build_dataset(corpus.train_trajectories(), corpus.n_stw,
                             corpus.stride, corpus.label_config, corpus.stats)
     if args.kind == "constant":
-        model = ConstantMeanBaseline(rul_cap=corpus.rul_cap).fit(samples)
+        model = ConstantMeanBaseline(rul_cap=corpus.rul_cap).fit(windows)
     else:
-        model = LinearWindowBaseline(rul_cap=corpus.rul_cap).fit(samples)
+        model = LinearWindowBaseline(rul_cap=corpus.rul_cap).fit(windows)
         if model.used_ridge:
             print("note: normal equations were singular, used ridge fallback")
     report = evaluate(model.predict, corpus.test_trajectories(), corpus.stats,

@@ -17,9 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import SlatConfig, predict_rul, stack_samples
+from .model import SlatConfig, predict_rul
 from .windowing import (FaultMode, LabelConfig, NormStats, Trajectory,
-                        build_dataset)
+                        Windows, build_dataset)
 
 MODE_ORDER = tuple(m.value for m in FaultMode)
 
@@ -88,15 +88,14 @@ def evaluate(predict_fn: Callable, trajectories: Sequence[Trajectory],
     sq_err: dict = {}
     counts: dict = {}
     for traj in trajectories:
-        values, descriptors, targets = stack_samples(
-            build_dataset([traj], n_stw, stride, label_cfg, stats))
-        preds = np.asarray(predict_fn(values, descriptors), dtype=np.float64)
-        if preds.shape != targets.shape:
+        w = build_dataset([traj], n_stw, stride, label_cfg, stats)
+        preds = np.asarray(predict_fn(w.values, w.descriptors), dtype=np.float64)
+        if preds.shape != w.targets.shape:
             raise ValueError(
-                f"predictor returned shape {preds.shape}, wanted {targets.shape}")
+                f"predictor returned shape {preds.shape}, wanted {w.targets.shape}")
         key = traj.mode.value
-        sq_err.setdefault(key, []).append((preds - targets) ** 2)
-        counts[key] = counts.get(key, 0) + len(targets)
+        sq_err.setdefault(key, []).append((preds - w.targets) ** 2)
+        counts[key] = counts.get(key, 0) + len(w)
     if not sq_err:
         raise ValueError("no trajectories to evaluate")
     per_mode = {m: float(np.sqrt(np.mean(np.concatenate(errs))))
@@ -126,16 +125,11 @@ class RtfSeries:
 def rtf_series(predict_fn: Callable, traj: Trajectory, stats: NormStats,
                n_stw: int, label_cfg: LabelConfig | None = None) -> RtfSeries:
     """Stride-1 remaining-lifetime trace over one trajectory."""
-    label_cfg = label_cfg or LabelConfig()
-    if traj.n_steps < n_stw:
-        raise ValueError(
-            f"trajectory {traj.traj_id} has {traj.n_steps} steps < n_stw={n_stw}")
-    values, descriptors, targets = stack_samples(
-        build_dataset([traj], n_stw, 1, label_cfg, stats))
-    preds = np.asarray(predict_fn(values, descriptors), dtype=np.float64)
+    w = build_dataset([traj], n_stw, 1, label_cfg or LabelConfig(), stats)
+    preds = np.asarray(predict_fn(w.values, w.descriptors), dtype=np.float64)
     return RtfSeries(traj_id=traj.traj_id, mode=traj.mode.value,
                      t=np.arange(n_stw - 1, traj.n_steps),
-                     true_rul=targets, pred_rul=preds)
+                     true_rul=w.targets, pred_rul=preds)
 
 
 def write_rtf_csv(path, series: RtfSeries) -> None:
@@ -154,10 +148,10 @@ class ConstantMeanBaseline:
     mean_target: float = 0.0
     rul_cap: float = 125.0
 
-    def fit(self, samples: Sequence) -> "ConstantMeanBaseline":
-        if len(samples) == 0:
+    def fit(self, windows: Windows) -> "ConstantMeanBaseline":
+        if len(windows) == 0:
             raise ValueError("no samples to fit")
-        self.mean_target = float(np.mean([s.rul_target for s in samples]))
+        self.mean_target = float(np.mean(windows.targets))
         return self
 
     def predict(self, values, descriptors):
@@ -187,13 +181,12 @@ class LinearWindowBaseline:
             [values.reshape(n, -1), descriptors.reshape(n, -1)], axis=1)
         return np.concatenate([feats, np.ones((n, 1))], axis=1)
 
-    def fit(self, samples: Sequence) -> "LinearWindowBaseline":
-        if len(samples) == 0:
+    def fit(self, windows: Windows) -> "LinearWindowBaseline":
+        if len(windows) == 0:
             raise ValueError("no samples to fit")
-        values, descriptors, y = stack_samples(samples)
-        x = self._features(values, descriptors)
+        x = self._features(windows.values, windows.descriptors)
         gram = x.T @ x
-        rhs = x.T @ y
+        rhs = x.T @ windows.targets
         try:
             self.weights = np.linalg.solve(gram, rhs)
             self.used_ridge = False

@@ -17,12 +17,18 @@ which produces a gradient dict with exactly the same keys.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import layers
 from .attention import SparseMask, build_mask, mha_backward, mha_forward
+
+
+# Accepted Python types per annotation; bools are refused even where int is.
+_FIELD_TYPES = {"int": numbers.Integral, "int | None": (numbers.Integral, type(None)),
+                "float": numbers.Real, "str": str}
 
 
 @dataclass(frozen=True)
@@ -43,12 +49,16 @@ class SlatConfig:
     mask_mode: str = "neg_inf"
 
     def __post_init__(self):
-        if self.d_model % self.heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         for name in ("n_stw", "n_channels", "d_model", "time_blocks", "sensor_blocks",
                      "decoder_blocks", "heads", "ffn_mult"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.d_model % self.heads != 0:
+            raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.rank is not None and not 1 <= self.rank <= min(self.d_model, self.d_head):
             raise ValueError(f"rank {self.rank} outside [1, {min(self.d_model, self.d_head)}]")
         if self.band_width < 0 or self.n_global < 0:
@@ -389,23 +399,15 @@ def backward(params, cfg: SlatConfig, cache, gpreds) -> dict[str, np.ndarray]:
     return grads
 
 
-def stack_samples(samples):
-    """Stack WindowSamples into (values, descriptors, targets) arrays."""
-    values = np.stack([s.values for s in samples])
-    descriptors = np.stack([s.descriptors for s in samples])
-    targets = np.array([s.rul_target for s in samples], dtype=np.float64)
-    return values, descriptors, targets
+def stack_samples(windows):
+    """The (values, descriptors, targets) arrays of a ``windowing.Windows``."""
+    return windows.values, windows.descriptors, windows.targets
 
 
-def predict_rul(params, cfg: SlatConfig, samples, batch_size: int = 256) -> np.ndarray:
-    """Deterministic inference, clamped to [0, rul_cap].
-
-    ``samples`` is a sequence of WindowSamples or a (values, descriptors) pair.
-    """
-    if isinstance(samples, tuple):
-        values, descriptors = samples
-    else:
-        values, descriptors, _ = stack_samples(samples)
+def predict_rul(params, cfg: SlatConfig, inputs, batch_size: int = 256) -> np.ndarray:
+    """Deterministic inference on a (values, descriptors) pair of stacked,
+    normalized windows, clamped to [0, rul_cap]."""
+    values, descriptors = inputs
     preds = np.empty(values.shape[0], dtype=np.float64)
     for lo in range(0, values.shape[0], batch_size):
         hi = min(lo + batch_size, values.shape[0])

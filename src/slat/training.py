@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .layers import global_norm
-from .model import SlatConfig, backward, forward, init_params, predict_rul, stack_samples
+from .model import SlatConfig, backward, forward, init_params, predict_rul
+from .windowing import Windows
 
 
 class TrainingDiverged(RuntimeError):
@@ -52,17 +53,7 @@ class TrainConfig:
             raise ValueError("val_fraction must be in [0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate, "batch_size": self.batch_size,
-            "epochs": self.epochs, "beta1": self.beta1, "beta2": self.beta2,
-            "eps": self.eps, "clip_norm": self.clip_norm,
-            "val_fraction": self.val_fraction, "seed": self.seed,
-            "stop_train_rmse": self.stop_train_rmse,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
+        return asdict(self)
 
 
 def mse_loss(preds: np.ndarray, targets: np.ndarray):
@@ -119,22 +110,20 @@ def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> 
         params[name] -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
 
 
-def split_by_trajectory(samples: Sequence, val_fraction: float,
+def split_by_trajectory(windows: Windows, val_fraction: float,
                         rng: np.random.Generator):
     """Hold out whole trajectories for validation so no window leaks across
     the split. Returns (train_idx, val_idx, val_ids)."""
-    ids = sorted({s.traj_id for s in samples})
+    ids = sorted(set(windows.traj_ids.tolist()))
     if val_fraction <= 0 or len(ids) < 2:
-        return list(range(len(samples))), [], []
+        return list(range(len(windows))), [], []
     n_val = max(1, round(val_fraction * len(ids)))
     if n_val >= len(ids):
         n_val = len(ids) - 1
     perm = rng.permutation(len(ids))
     val_ids = sorted(ids[i] for i in perm[:n_val])
-    val_set = set(val_ids)
-    train_idx = [i for i, s in enumerate(samples) if s.traj_id not in val_set]
-    val_idx = [i for i, s in enumerate(samples) if s.traj_id in val_set]
-    return train_idx, val_idx, val_ids
+    held_out = np.isin(windows.traj_ids, val_ids)
+    return np.flatnonzero(~held_out).tolist(), np.flatnonzero(held_out).tolist(), val_ids
 
 
 @dataclass
@@ -163,30 +152,26 @@ def _copy_params(params: dict) -> dict:
     return {k: v.copy() for k, v in params.items()}
 
 
-def train(samples: Sequence, model_cfg: SlatConfig,
+def train(windows: Windows, model_cfg: SlatConfig,
           train_cfg: TrainConfig | None = None,
           init: dict | None = None) -> TrainResult:
-    """Train on window samples; track the best validation checkpoint.
+    """Train on windows; track the best validation checkpoint.
 
     A trajectory-level fraction of the input is held out for validation.
     With val_fraction 0 (or a single source trajectory) the final parameters
     double as the best ones. ``init`` replaces the seeded initial parameters.
     """
     tcfg = train_cfg or TrainConfig()
-    if len(samples) == 0:
+    if len(windows) == 0:
         raise ValueError("no training samples")
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(int(tcfg.seed), 0x7261494E)))
 
-    samples = list(samples)
-    train_idx, val_idx, val_ids = split_by_trajectory(samples, tcfg.val_fraction, rng)
-    val_list = [samples[i] for i in val_idx]
+    train_idx, val_idx, val_ids = split_by_trajectory(windows, tcfg.val_fraction, rng)
     if not train_idx:
         raise ValueError("validation split consumed all trajectories")
-
-    values, descriptors, targets = stack_samples([samples[i] for i in train_idx])
-    if val_list:
-        val_values, val_descriptors, val_targets = stack_samples(val_list)
+    fit = windows[train_idx]
+    val = windows[val_idx] if val_idx else None
 
     params = _copy_params(init) if init is not None else init_params(model_cfg, rng)
     state = AdamState.init(params)
@@ -194,17 +179,17 @@ def train(samples: Sequence, model_cfg: SlatConfig,
     best_val = float("inf")
     best_epoch = 0
     history = []
-    n = values.shape[0]
+    n = len(fit)
 
     for epoch in range(tcfg.epochs):
         t0 = time.perf_counter()
         order = rng.permutation(n)
         losses = []
         for b, start in enumerate(range(0, n, tcfg.batch_size)):
-            idx = order[start:start + tcfg.batch_size]
-            preds, cache = forward(params, model_cfg, values[idx],
-                                   descriptors[idx], train=True, rng=rng)
-            loss, gpred = mse_loss(preds, targets[idx])
+            batch = fit[order[start:start + tcfg.batch_size]]
+            preds, cache = forward(params, model_cfg, batch.values,
+                                   batch.descriptors, train=True, rng=rng)
+            loss, gpred = mse_loss(preds, batch.targets)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, b, f"loss={loss}")
             grads = backward(params, model_cfg, cache, gpred)
@@ -215,9 +200,9 @@ def train(samples: Sequence, model_cfg: SlatConfig,
                 raise TrainingDiverged(epoch, b, str(exc)) from exc
             losses.append(loss)
 
-        if val_list:
-            val_preds = predict_rul(params, model_cfg, (val_values, val_descriptors))
-            val_rmse = float(np.sqrt(np.mean((val_preds - val_targets) ** 2)))
+        if val is not None:
+            val_preds = predict_rul(params, model_cfg, (val.values, val.descriptors))
+            val_rmse = float(np.sqrt(np.mean((val_preds - val.targets) ** 2)))
             if val_rmse < best_val:
                 best_val = val_rmse
                 best_epoch = epoch
@@ -234,7 +219,7 @@ def train(samples: Sequence, model_cfg: SlatConfig,
                 and np.sqrt(train_loss) < tcfg.stop_train_rmse):
             break
 
-    if not val_list:
+    if val is None:
         best_params = _copy_params(params)
         best_val = float("nan")
     return TrainResult(params=params, best_params=best_params, history=history,

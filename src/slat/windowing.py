@@ -5,16 +5,18 @@ where the device crossed its soft-failure threshold. Windows of fixed length
 slide over it; each window is z-scored with training statistics, enriched
 with per-channel mean/slope descriptors (computed on raw values, then
 z-scored with their own statistics), and labelled with the capped RUL at the
-window's last step.
+window's last step. One strided view per trajectory cuts the windows, and
+every consumer reads the stacked arrays of :class:`Windows`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class FaultMode(enum.Enum):
@@ -74,12 +76,20 @@ class LabelConfig:
 
 
 @dataclass(frozen=True)
-class WindowSample:
-    values: np.ndarray       # (n_stw, S), normalized
-    descriptors: np.ndarray  # (2S,): per-channel means then slopes, normalized
-    rul_target: float
-    traj_id: str = ""
-    mode: FaultMode | None = None
+class Windows:
+    """Stacked windows; row i of every field belongs to window i. Indexing
+    applies the same numpy index to every field."""
+
+    values: np.ndarray       # (W, n_stw, S), normalized
+    descriptors: np.ndarray  # (W, 2S): per-channel means then slopes, normalized
+    targets: np.ndarray      # (W,): capped RUL at each window's last step
+    traj_ids: np.ndarray     # (W,): id of each window's trajectory
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __getitem__(self, index) -> "Windows":
+        return Windows(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -117,38 +127,46 @@ class NormStats:
                       ("channel_mean", "channel_std", "descriptor_mean", "descriptor_std")})
 
 
-def window_bounds(n_steps: int, n_stw: int, stride: int) -> list[tuple[int, int]]:
-    """Half-open [start, end) index pairs of every full window."""
+def _window_count(n_steps: int, n_stw: int, stride: int,
+                  what: str = "trajectory") -> int:
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if n_stw < 2:
         raise ValueError(f"window length must be >= 2, got {n_stw}")
     if n_stw > n_steps:
         raise ValueError(
-            f"trajectory too short: {n_steps} steps < window length {n_stw}")
-    count = (n_steps - n_stw) // stride + 1
+            f"{what} too short: {n_steps} steps < window length {n_stw}")
+    return (n_steps - n_stw) // stride + 1
+
+
+def window_bounds(n_steps: int, n_stw: int, stride: int) -> list[tuple[int, int]]:
+    """Half-open [start, end) index pairs of every full window."""
+    count = _window_count(n_steps, n_stw, stride)
     return [(k * stride, k * stride + n_stw) for k in range(count)]
 
 
-def slide_windows(traj: Trajectory, n_stw: int, stride: int = 1) -> list[tuple[int, int]]:
-    return window_bounds(traj.n_steps, n_stw, stride)
+def _window_view(traj: Trajectory, n_stw: int, stride: int) -> np.ndarray:
+    """Read-only (W, n_stw, S) view of the windows ``window_bounds`` lists."""
+    _window_count(traj.n_steps, n_stw, stride, f"trajectory {traj.traj_id}")
+    return sliding_window_view(traj.channels, n_stw, axis=0)[::stride].swapaxes(1, 2)
 
 
 def compute_descriptors(window_values: np.ndarray) -> np.ndarray:
-    """Per-channel mean and least-squares slope against the step index.
+    """Per-channel mean and least-squares slope against the step index, of
+    one window (n, S) or of a stack of them (..., n, S).
 
-    Layout: [mean_0 .. mean_{S-1}, slope_0 .. slope_{S-1}].
+    Layout of the last axis: [mean_0 .. mean_{S-1}, slope_0 .. slope_{S-1}].
     """
     w = np.asarray(window_values, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] < 2:
-        raise ValueError(f"window must be (n>=2, S), got {w.shape}")
+    if w.ndim < 2 or w.shape[-2] < 2:
+        raise ValueError(f"window must be (..., n>=2, S), got {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("non-finite values in window")
-    n = w.shape[0]
-    means = w.mean(axis=0)
+    n = w.shape[-2]
+    means = w.mean(axis=-2)
     t_centered = np.arange(n, dtype=np.float64) - (n - 1) / 2.0
     slopes = t_centered @ w / (t_centered @ t_centered)
-    return np.concatenate([means, slopes])
+    return np.concatenate([means, slopes], axis=-1)
 
 
 def label_rul(traj: Trajectory, cfg: LabelConfig) -> np.ndarray:
@@ -159,11 +177,7 @@ def label_rul(traj: Trajectory, cfg: LabelConfig) -> np.ndarray:
 
 def collect_descriptors(trajs: Sequence[Trajectory], n_stw: int, stride: int) -> np.ndarray:
     """Stacked raw descriptor vectors of every window of every trajectory."""
-    rows = []
-    for traj in trajs:
-        for start, end in slide_windows(traj, n_stw, stride):
-            rows.append(compute_descriptors(traj.channels[start:end]))
-    return np.asarray(rows)
+    return np.concatenate([compute_descriptors(_window_view(t, n_stw, stride)) for t in trajs])
 
 
 def fit_norm_stats(train_trajs: Sequence[Trajectory], descriptors: np.ndarray) -> NormStats:
@@ -193,19 +207,17 @@ def build_dataset(
     stride: int,
     cfg: LabelConfig,
     stats: NormStats,
-) -> list[WindowSample]:
-    """Normalized, descriptor-enriched samples; target = RUL at window end."""
-    samples: list[WindowSample] = []
-    for traj in trajs:
-        targets = label_rul(traj, cfg)
-        for start, end in slide_windows(traj, n_stw, stride):
-            raw = traj.channels[start:end]
-            desc = stats.normalize_descriptors(compute_descriptors(raw))
-            samples.append(WindowSample(
-                values=stats.normalize_values(raw),
-                descriptors=desc,
-                rul_target=float(targets[end - 1]),
-                traj_id=traj.traj_id,
-                mode=traj.mode,
-            ))
-    return samples
+) -> Windows:
+    """Normalized, descriptor-enriched windows of every trajectory in order;
+    target = RUL at the window's last step."""
+    trajs = list(trajs)
+    if not trajs:
+        raise ValueError("no trajectories to window")
+    views = [_window_view(t, n_stw, stride) for t in trajs]
+    values = np.concatenate(views)  # the one (W, n_stw, S) array, raw until normalized
+    descriptors = stats.normalize_descriptors(compute_descriptors(values))
+    values -= stats.channel_mean
+    values /= stats.channel_std
+    targets = np.concatenate([label_rul(t, cfg)[n_stw - 1::stride] for t in trajs])
+    traj_ids = np.repeat([t.traj_id for t in trajs], [len(v) for v in views])
+    return Windows(values, descriptors, targets, traj_ids)

@@ -132,7 +132,7 @@ def test_overfits_32_samples_within_budget(small_corpus):
                             small_corpus.label_config, small_corpus.stats)
     order = np.random.default_rng(
         np.random.SeedSequence(entropy=(21,))).permutation(len(samples))
-    subset = [samples[i] for i in order[:32]]
+    subset = samples[order[:32]]
 
     cfg = SlatConfig(dropout=0.0)
     start = time.perf_counter()

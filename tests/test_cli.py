@@ -1,11 +1,12 @@
 import csv
 import json
 import shlex
+import struct
 from pathlib import Path
 
 import pytest
 
-from slat.checkpoint import load_checkpoint, save_checkpoint
+from slat.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from slat.cli import _build_parser, main
 from slat.simulator import MODE_BASE_RATE
 from slat.windowing import FaultMode
@@ -75,7 +76,13 @@ class TestTrain:
     @pytest.mark.parametrize("config, named", [
         ({**TINY_MODEL, "d_modle": 8}, "d_modle"),
         ([8], "JSON object"),
-    ], ids=["unknown_field", "not_an_object"])
+        ({**TINY_MODEL, "d_model": "32"}, "d_model"),
+        ({**TINY_MODEL, "dropout": "0.1"}, "dropout"),
+        ({**TINY_MODEL, "heads": 8.0}, "heads"),
+        ({**TINY_MODEL, "rank": 2.5}, "rank"),
+        ({**TINY_MODEL, "band_width": True}, "band_width"),
+    ], ids=["unknown_field", "not_an_object", "str_int", "str_float",
+            "float_int", "fractional_rank", "bool_int"])
     def test_bad_model_config_is_runtime_error(self, workdir, tmp_path, capsys,
                                                config, named):
         path = tmp_path / "model.json"
@@ -126,6 +133,23 @@ class TestEvaluate:
         assert rc == 2
         err = capsys.readouterr().err
         assert "head." in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("head", [
+        b"{}",
+        b"[1]",
+        b'{"config": {}, "tensors": [{"name": "head.w"}]}',
+        None,
+    ], ids=["empty_object", "list", "tensor_without_shape", "length_cut_short"])
+    def test_malformed_checkpoint_header_is_runtime_error(self, workdir, tmp_path,
+                                                          head, capsys):
+        bad = tmp_path / "bad.ckpt"
+        body = b"\x02\x00\x00" if head is None else struct.pack("<Q", len(head)) + head
+        bad.write_bytes(MAGIC + body)
+        rc = main(["evaluate", "--corpus", str(workdir["corpus"]),
+                   "--checkpoint", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and len(err.strip().splitlines()) == 1
 
     def test_checkpoint_from_another_corpus_is_runtime_error(self, workdir, tmp_path):
         other = tmp_path / "other_corpus"

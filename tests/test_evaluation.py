@@ -7,7 +7,7 @@ from slat.evaluation import (ConstantMeanBaseline, EvalReport,
                              LinearWindowBaseline, evaluate, model_predictor,
                              rmse, rtf_series, write_rtf_csv)
 from slat.model import SlatConfig, init_params
-from slat.windowing import (FaultMode, LabelConfig, Trajectory, WindowSample,
+from slat.windowing import (FaultMode, LabelConfig, Trajectory, Windows,
                             build_dataset, collect_descriptors,
                             fit_norm_stats, label_rul)
 
@@ -171,15 +171,15 @@ def linear_samples(n, seed, scale=1.0):
         values = rng.normal(size=(4, 2))
         desc = rng.normal(size=4)
         target = float(np.sum(values * w_v) + desc @ w_d + 60.0)
-        out.append(WindowSample(values=values, descriptors=desc,
-                                rul_target=target, traj_id="t0"))
-    return out
+        out.append((values, desc, target))
+    values, desc, targets = (np.array(col) for col in zip(*out))
+    return Windows(values, desc, targets, np.full(n, "t0"))
 
 
 class TestBaselines:
     def test_constant_predicts_training_mean(self):
-        samples = [WindowSample(values=np.zeros((3, 2)), descriptors=np.zeros(4),
-                                rul_target=t) for t in (2.0, 4.0, 6.0)]
+        samples = Windows(np.zeros((3, 3, 2)), np.zeros((3, 4)),
+                          np.array([2.0, 4.0, 6.0]), np.full(3, ""))
         model = ConstantMeanBaseline().fit(samples)
         preds = model.predict(np.zeros((5, 3, 2)), np.zeros((5, 4)))
         np.testing.assert_allclose(preds, 4.0)
@@ -190,18 +190,17 @@ class TestBaselines:
         model = LinearWindowBaseline().fit(pool[:300])
         assert not model.used_ridge
         check = pool[300:]
-        values = np.stack([s.values for s in check])
-        desc = np.stack([s.descriptors for s in check])
-        targets = np.array([s.rul_target for s in check])
+        values = check.values
+        desc = check.descriptors
+        targets = check.targets
         preds = model.predict(values, desc)
         np.testing.assert_allclose(preds, targets, atol=1e-6)
 
     def test_ridge_fallback_on_singular_features(self):
         # duplicate every sample so columns of the gram matrix collide with
         # the constant-zero value block
-        samples = [WindowSample(values=np.zeros((2, 1)),
-                                descriptors=np.array([1.0, 0.0]),
-                                rul_target=1.0)] * 10
+        samples = Windows(np.zeros((10, 2, 1)), np.tile([1.0, 0.0], (10, 1)),
+                          np.ones(10), np.full(10, ""))
         model = LinearWindowBaseline().fit(samples)
         assert model.used_ridge
         preds = model.predict(np.zeros((3, 2, 1)),

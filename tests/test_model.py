@@ -9,7 +9,7 @@ from slat.model import (SlatConfig, backward, embed_sensor_tokens,
                         embed_time_tokens, forward, fuse, init_params,
                         masks_for, param_count, param_shapes, predict_rul,
                         stack_samples)
-from slat.windowing import WindowSample
+from slat.windowing import Windows
 
 TINY = SlatConfig(n_stw=6, n_channels=3, d_model=8, time_blocks=1,
                   sensor_blocks=1, decoder_blocks=1, heads=2, ffn_mult=2,
@@ -258,21 +258,10 @@ class TestPredict:
         # up to a few ulp; identical batching is covered by the bitwise tests
         np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=1e-14)
 
-    def test_accepts_window_samples(self):
-        rng = np.random.default_rng(13)
-        params = init_params(TINY, rng)
-        values, desc = make_batch(TINY, rng, b=4)
-        samples = [WindowSample(values=values[i], descriptors=desc[i],
-                                rul_target=1.0) for i in range(4)]
-        via_samples = predict_rul(params, TINY, samples)
-        via_arrays = predict_rul(params, TINY, (values, desc))
-        np.testing.assert_array_equal(via_samples, via_arrays)
-
     def test_stack_samples_layout(self):
         rng = np.random.default_rng(14)
         values, desc = make_batch(TINY, rng, b=2)
-        samples = [WindowSample(values=values[i], descriptors=desc[i],
-                                rul_target=float(i)) for i in range(2)]
+        samples = Windows(values, desc, np.arange(2.0), np.full(2, ""))
         sv, sd, st = stack_samples(samples)
         np.testing.assert_array_equal(sv, values)
         np.testing.assert_array_equal(sd, desc)

@@ -7,7 +7,7 @@ from slat.model import SlatConfig, init_params
 from slat.training import (AdamState, TrainConfig, TrainingDiverged,
                            adam_step, clip_gradients, mse_loss,
                            split_by_trajectory, train, write_history)
-from slat.windowing import WindowSample
+from slat.windowing import Windows
 
 TINY = SlatConfig(n_stw=6, n_channels=3, d_model=8, time_blocks=1,
                   sensor_blocks=1, decoder_blocks=1, heads=2, ffn_mult=2,
@@ -16,14 +16,13 @@ TINY = SlatConfig(n_stw=6, n_channels=3, d_model=8, time_blocks=1,
 
 def make_samples(n, cfg=TINY, seed=0, n_trajs=2):
     rng = np.random.default_rng(seed)
-    out = []
+    values, descriptors, targets = [], [], []
     for i in range(n):
-        out.append(WindowSample(
-            values=rng.standard_normal((cfg.n_stw, cfg.n_channels)),
-            descriptors=rng.standard_normal(2 * cfg.n_channels),
-            rul_target=float(rng.uniform(0, 20)),
-            traj_id=f"t{i % n_trajs}"))
-    return out
+        values.append(rng.standard_normal((cfg.n_stw, cfg.n_channels)))
+        descriptors.append(rng.standard_normal(2 * cfg.n_channels))
+        targets.append(float(rng.uniform(0, 20)))
+    return Windows(np.array(values), np.array(descriptors), np.array(targets),
+                   np.array([f"t{i % n_trajs}" for i in range(n)]))
 
 
 class TestLossAndClip:
@@ -92,7 +91,7 @@ class TestSplit:
         rng = np.random.default_rng(0)
         train_idx, val_idx, val_ids = split_by_trajectory(samples, 0.2, rng)
         assert len(val_ids) == 1
-        train_ids = {samples[i].traj_id for i in train_idx}
+        train_ids = set(samples.traj_ids[train_idx])
         assert set(val_ids) & train_ids == set()
         assert len(train_idx) + len(val_idx) == 40
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_mean_slope, naive_rul, naive_window_starts
 from slat.windowing import (FaultMode, LabelConfig, NormStats, Trajectory,
                             build_dataset, collect_descriptors,
                             compute_descriptors, fit_norm_stats, label_rul,
-                            slide_windows, window_bounds)
+                            window_bounds)
 
 
 def make_traj(channels, mode=FaultMode.PumpLaser, traj_id="t0"):
@@ -160,9 +160,8 @@ class TestBuildDataset:
         desc = collect_descriptors([traj], 3, 1)
         stats = fit_norm_stats([traj], desc)
         samples = build_dataset([traj], 3, 1, LabelConfig(rul_cap=100.0), stats)
-        assert [s.rul_target for s in samples] == [3.0, 2.0, 1.0, 0.0]
-        assert all(s.traj_id == "t0" for s in samples)
-        assert all(s.mode is FaultMode.PumpLaser for s in samples)
+        assert samples.targets.tolist() == [3.0, 2.0, 1.0, 0.0]
+        assert all(t == "t0" for t in samples.traj_ids)
 
     def test_values_are_normalized(self):
         rng = np.random.default_rng(3)
@@ -170,7 +169,7 @@ class TestBuildDataset:
         desc = collect_descriptors([traj], 10, 1)
         stats = fit_norm_stats([traj], desc)
         samples = build_dataset([traj], 10, 1, LabelConfig(), stats)
-        all_vals = np.concatenate([s.values for s in samples])
+        all_vals = samples.values
         assert abs(float(all_vals.mean())) < 0.5
         raw = stats.denormalize_values(samples[0].values)
         np.testing.assert_allclose(raw, traj.channels[:10], atol=1e-9)
@@ -184,6 +183,49 @@ class TestBuildDataset:
         expected = stats.normalize_descriptors(
             compute_descriptors(traj.channels[0:8]))
         np.testing.assert_allclose(samples[0].descriptors, expected, atol=1e-12)
+
+    @given(extra_steps=st.lists(st.integers(0, 60), min_size=1, max_size=4),
+           n_ch=st.integers(1, 5), n_stw=st.integers(2, 40),
+           stride=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+    @example(extra_steps=[0], n_ch=3, n_stw=40, stride=7, seed=0)
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_window_reference(self, extra_steps, n_ch, n_stw, stride, seed):
+        """Exactly the windows, descriptors and labels of the per-window
+        definition: window_bounds, compute_descriptors on each slice, the
+        NormStats transforms, and label_rul at the window end."""
+        rng = np.random.default_rng(seed)
+        trajs = [make_traj(rng.normal(rng.normal(0, 50), 10, size=(n_stw + k, n_ch)),
+                           traj_id=f"t{i}") for i, k in enumerate(extra_steps)]
+        stats = NormStats(rng.normal(0, 50, n_ch), rng.uniform(0.5, 20, n_ch),
+                          rng.normal(0, 5, 2 * n_ch), rng.uniform(0.5, 5, 2 * n_ch))
+        cfg = LabelConfig(rul_cap=float(rng.integers(5, 200)))
+        raw_desc, values, descriptors, targets, ids = [], [], [], [], []
+        for traj in trajs:
+            labels = label_rul(traj, cfg)
+            for start, end in window_bounds(traj.n_steps, n_stw, stride):
+                raw = traj.channels[start:end]
+                raw_desc.append(compute_descriptors(raw))
+                values.append(stats.normalize_values(raw))
+                descriptors.append(stats.normalize_descriptors(raw_desc[-1]))
+                targets.append(labels[end - 1])
+                ids.append(traj.traj_id)
+
+        got = build_dataset(trajs, n_stw, stride, cfg, stats)
+        assert len(got) == len(targets)
+        assert np.array_equal(got.values, np.array(values))
+        assert np.array_equal(got.descriptors, np.array(descriptors))
+        assert np.array_equal(got.targets, np.array(targets))
+        assert got.traj_ids.tolist() == ids
+        assert np.array_equal(collect_descriptors(trajs, n_stw, stride),
+                              np.array(raw_desc))
+
+    def test_short_trajectory_names_both_lengths(self):
+        traj = make_traj(np.zeros((5, 2)))
+        stats = NormStats(np.zeros(2), np.ones(2), np.zeros(4), np.ones(4))
+        with pytest.raises(ValueError, match="5 steps < window length 8"):
+            build_dataset([traj], 8, 1, LabelConfig(), stats)
+        with pytest.raises(ValueError, match="5 steps < window length 8"):
+            collect_descriptors([traj], 8, 1)
 
 
 class TestTrajectory:
