@@ -9,6 +9,8 @@ same bytes, which archive formats with embedded timestamps do not guarantee.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -45,7 +47,8 @@ def save_checkpoint(path, params: dict, cfg: SlatConfig,
 
 def load_checkpoint(path):
     """Returns (params, config, pipeline). A file that is not a well-formed
-    checkpoint raises ValueError naming it."""
+    checkpoint raises ValueError naming it; no read is sized beyond the bytes
+    the file has left."""
     try:
         with open(Path(path), "rb") as fh:
             return _read_checkpoint(fh)
@@ -57,18 +60,24 @@ def load_checkpoint(path):
 
 
 def _read_checkpoint(fh):
+    size = os.fstat(fh.fileno()).st_size
     if fh.read(len(MAGIC)) != MAGIC:
         raise ValueError("not a checkpoint file")
     (head_len,) = struct.unpack("<Q", fh.read(8))
+    if head_len > size - fh.tell():
+        raise ValueError(f"header length {head_len} exceeds the {size - fh.tell()} bytes left")
     header = json.loads(fh.read(head_len).decode("utf-8"))
     params = {}
     for rec in header["tensors"]:
-        shape = tuple(rec["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        raw = fh.read(n * 8)
-        if len(raw) != n * 8:
+        shape = rec["shape"]
+        if not isinstance(shape, list) or not all(
+                isinstance(k, int) and not isinstance(k, bool) and k >= 0 for k in shape):
+            raise ValueError(f"tensor {rec['name']}: shape {shape!r} is not a list "
+                             "of non-negative integers")
+        nbytes = 8 * math.prod(shape)
+        if nbytes > size - fh.tell():
             raise ValueError(f"truncated tensor {rec['name']}")
-        params[rec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        params[rec["name"]] = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(shape).copy()
     if fh.read(1):
         raise ValueError("trailing bytes after last tensor")
     config = dict(header["config"])

@@ -81,14 +81,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _corpus_fields(corpus) -> dict:
+    """The SlatConfig fields the corpus fixes; a model config may not set them."""
+    return {"n_stw": corpus.n_stw, "n_channels": len(corpus.channels),
+            "rul_cap": corpus.rul_cap}
+
+
 def _model_config_for(corpus, overrides_path) -> SlatConfig:
-    fields = {"n_stw": corpus.n_stw, "n_channels": len(corpus.channels),
-              "rul_cap": corpus.rul_cap}
+    fields = _corpus_fields(corpus)
     if overrides_path:
         with open(overrides_path, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
         if not isinstance(overrides, dict):
             raise ValueError(f"{overrides_path}: model config must be a JSON object")
+        owned = sorted(set(fields) & set(overrides))
+        if owned:
+            raise ValueError(f"{overrides_path}: {', '.join(owned)} taken from the "
+                             "corpus manifest, not settable in a model config")
         fields.update(overrides)
     return SlatConfig.from_dict(fields)
 
@@ -152,16 +161,14 @@ def _load_predictor(path, corpus):
     """Load a checkpoint and check it against its own config and the corpus."""
     params, model_cfg, pipeline = ckpt.load_checkpoint(path)
     _check_tensors(params, model_cfg)
-    if pipeline.get("n_stw", corpus.n_stw) != corpus.n_stw:
-        raise ValueError(
-            f"checkpoint was trained with n_stw={pipeline['n_stw']}, "
-            f"corpus uses {corpus.n_stw}")
+    for name, want in _corpus_fields(corpus).items():
+        # the model config governs the network; the pipeline copy records the training run
+        for have in (getattr(model_cfg, name), pipeline.get(name, want)):
+            if have != want:
+                raise ValueError(
+                    f"checkpoint was trained with {name}={have}, corpus uses {want}")
     if pipeline.get("channels") and pipeline["channels"] != corpus.channels:
         raise ValueError("checkpoint channel list does not match corpus")
-    if pipeline.get("rul_cap", corpus.rul_cap) != corpus.rul_cap:
-        raise ValueError(
-            f"checkpoint was trained with rul_cap={pipeline['rul_cap']}, "
-            f"corpus uses {corpus.rul_cap}")
     stats = corpus.stats.to_dict()
     if pipeline.get("norm_stats", stats) != stats:
         raise ValueError("checkpoint normalization statistics do not match corpus; "

@@ -24,6 +24,7 @@ from .windowing import (FaultMode, LabelConfig, NormStats, Trajectory,
                         collect_descriptors, fit_norm_stats, label_rul)
 
 FORMAT_TAG = "slat-corpus-v1"
+TRAIN_FRAC = 0.8  # share of each mode's trajectories in the train split
 
 
 def _write_trajectory_csv(path: Path, traj: Trajectory, cap: float):
@@ -55,15 +56,13 @@ def _read_trajectory_csv(path: Path, traj_id: str, mode: FaultMode,
                       failure_index=failure_index)
 
 
-def _split_ids(ids: Sequence[str], train_frac: float,
+def _split_ids(ids: Sequence[str],
                rng: np.random.Generator) -> tuple[list[str], list[str]]:
     """Seeded shuffle split; the test side always gets at least one id."""
     n = len(ids)
     if n < 2:
         raise ValueError("need at least 2 trajectories per mode to split")
-    n_test = max(1, round((1.0 - train_frac) * n))
-    if n_test >= n:
-        raise ValueError("train fraction leaves no training trajectories")
+    n_test = max(1, round((1.0 - TRAIN_FRAC) * n))
     perm = rng.permutation(n)
     test = sorted(ids[i] for i in perm[:n_test])
     train = sorted(ids[i] for i in perm[n_test:])
@@ -123,7 +122,7 @@ class Corpus:
 
 def generate_corpus(out_dir, master_seed: int, n_per_mode: int = 10,
                     n_stw: int = 30, stride: int = 1, rul_cap: float = 125.0,
-                    noise_scale: float = 1.0, train_frac: float = 0.8,
+                    noise_scale: float = 1.0,
                     sim_configs: Sequence[SimConfig] | None = None) -> Corpus:
     """Simulate every fault mode, split per mode, fit train-split stats and
     write the corpus. Returns the loaded result."""
@@ -160,7 +159,7 @@ def generate_corpus(out_dir, master_seed: int, n_per_mode: int = 10,
         np.random.SeedSequence(entropy=(int(master_seed), 7919)))
     for cfg in sim_configs:
         ids = sorted(t for t in trajs if trajs[t].mode is cfg.mode)
-        train, test = _split_ids(ids, train_frac, split_rng)
+        train, test = _split_ids(ids, split_rng)
         for tid in train:
             split[tid] = "train"
         for tid in test:
@@ -178,7 +177,7 @@ def generate_corpus(out_dir, master_seed: int, n_per_mode: int = 10,
         "n_stw": n_stw,
         "stride": stride,
         "rul_cap": float(rul_cap),
-        "train_frac": float(train_frac),
+        "train_frac": TRAIN_FRAC,
         "noise_scale": float(sim_configs[0].noise_scale),
         "channels": list(simulator.CHANNELS),
         "norm_stats": stats.to_dict(),

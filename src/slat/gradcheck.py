@@ -95,7 +95,7 @@ def check_model_gradients(
         preds, _ = forward(params, cfg, values, descriptors)
         return float(np.mean((preds - targets) ** 2))
 
-    preds, cache = forward(params, cfg, values, descriptors)
+    preds, cache = forward(params, cfg, values, descriptors, train=True)
     gpreds = 2.0 * (preds - targets) / batch
     analytic = backward(params, cfg, cache, gpreds)
 

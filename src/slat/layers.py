@@ -30,12 +30,12 @@ def linear_backward(gy: np.ndarray, cache):
     return gx, gw, gb
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LN_EPS):
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Normalize over the last axis, then apply elementwise gain and bias."""
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return xhat * gain + bias, (xhat, inv, gain)
 
@@ -81,13 +81,13 @@ def dropout_backward(gy: np.ndarray, keep):
     return gy * keep
 
 
-def sinusoidal_encoding(length: int, d_model: int, dtype=np.float64) -> np.ndarray:
+def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
     """Fixed sin/cos positional table of shape (length, d_model)."""
     if d_model % 2 != 0:
         raise ValueError("d_model must be even for sinusoidal encoding")
-    pos = np.arange(length, dtype=dtype)[:, None]
-    freq = np.exp(-np.log(10000.0) * np.arange(0, d_model, 2, dtype=dtype) / d_model)
-    table = np.empty((length, d_model), dtype=dtype)
+    pos = np.arange(length, dtype=np.float64)[:, None]
+    freq = np.exp(-np.log(10000.0) * np.arange(0, d_model, 2, dtype=np.float64) / d_model)
+    table = np.empty((length, d_model))
     table[:, 0::2] = np.sin(pos * freq)
     table[:, 1::2] = np.cos(pos * freq)
     return table

@@ -10,8 +10,10 @@ decoder blocks; a linear head maps the final query state to the scalar RUL.
 
 Parameters live in a flat ``dict[str, np.ndarray]`` so the optimizer,
 checkpointing and gradient checking can treat the model as a named tensor
-collection. Every forward returns a cache consumed by :func:`backward`,
-which produces a gradient dict with exactly the same keys.
+collection. A training forward (``train=True``) returns a cache consumed by
+:func:`backward`, which produces a gradient dict with exactly the same keys;
+an inference forward keeps no cache, so its peak memory is one block's
+activations rather than the whole network's.
 """
 
 from __future__ import annotations
@@ -119,6 +121,14 @@ def _block_shapes(prefix: str, cfg: SlatConfig):
     ]
 
 
+def _stack_shapes(name: str, n_blocks: int, cfg: SlatConfig):
+    shapes = []
+    for i in range(n_blocks):
+        shapes += _block_shapes(f"{name}.{i}.", cfg)
+    return shapes + [(f"{name}.final_ln.g", (cfg.d_model,)),
+                     (f"{name}.final_ln.b", (cfg.d_model,))]
+
+
 def param_shapes(cfg: SlatConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Ordered (name, shape) pairs for every learnable tensor."""
     n, s, d = cfg.n_stw, cfg.n_channels, cfg.d_model
@@ -129,22 +139,11 @@ def param_shapes(cfg: SlatConfig) -> list[tuple[str, tuple[int, ...]]]:
         ("sensor_embed.b", (d,)),
         ("sensor_embed.ident", (s, d)),
     ]
-    for i in range(cfg.time_blocks):
-        shapes += _block_shapes(f"time_enc.{i}.", cfg)
-    shapes += [("time_enc.final_ln.g", (d,)), ("time_enc.final_ln.b", (d,))]
-    for i in range(cfg.sensor_blocks):
-        shapes += _block_shapes(f"sensor_enc.{i}.", cfg)
-    shapes += [("sensor_enc.final_ln.g", (d,)), ("sensor_enc.final_ln.b", (d,))]
+    shapes += _stack_shapes("time_enc", cfg.time_blocks, cfg)
+    shapes += _stack_shapes("sensor_enc", cfg.sensor_blocks, cfg)
     shapes.append(("decoder.query", (d,)))
-    for i in range(cfg.decoder_blocks):
-        shapes += _block_shapes(f"decoder.{i}.", cfg)
-    shapes += [
-        ("decoder.final_ln.g", (d,)),
-        ("decoder.final_ln.b", (d,)),
-        ("head.w", (d, 1)),
-        ("head.b", (1,)),
-    ]
-    return shapes
+    shapes += _stack_shapes("decoder", cfg.decoder_blocks, cfg)
+    return shapes + [("head.w", (d, 1)), ("head.b", (1,))]
 
 
 def param_count(cfg: SlatConfig) -> int:
@@ -195,17 +194,8 @@ def _embed_time(params, cfg: SlatConfig, values, descriptors):
     tiled = np.broadcast_to(descriptors[:, None, :], (b, n, 2 * s))
     x_in = np.concatenate([values, tiled], axis=-1)
     tok, lin_cache = layers.linear(x_in, params["time_embed.w"], params["time_embed.b"])
-    tok = tok + layers.sinusoidal_encoding(n, cfg.d_model, dtype=tok.dtype)
+    tok = tok + layers.sinusoidal_encoding(n, cfg.d_model)
     return tok, lin_cache
-
-
-def _embed_time_backward(g, cache, s, grads):
-    gx, gw, gb = layers.linear_backward(g, cache)
-    grads["time_embed.w"] = gw
-    grads["time_embed.b"] = gb
-    g_values = gx[:, :, :s]
-    g_desc = gx[:, :, s:].sum(axis=1)
-    return g_values, g_desc
 
 
 def _embed_sensor(params, cfg: SlatConfig, values, descriptors):
@@ -216,18 +206,6 @@ def _embed_sensor(params, cfg: SlatConfig, values, descriptors):
     tok, lin_cache = layers.linear(x_in, params["sensor_embed.w"], params["sensor_embed.b"])
     tok = tok + params["sensor_embed.ident"]
     return tok, lin_cache
-
-
-def _embed_sensor_backward(g, cache, n, grads):
-    grads["sensor_embed.ident"] = g.reshape(-1, *g.shape[-2:]).sum(axis=0)
-    gx, gw, gb = layers.linear_backward(g, cache)
-    grads["sensor_embed.w"] = gw
-    grads["sensor_embed.b"] = gb
-    g_values = np.swapaxes(gx[:, :, :n], 1, 2)
-    s = gx.shape[1]
-    g_desc = np.concatenate([gx[:, :, n], gx[:, :, n + 1]], axis=-1)
-    assert g_desc.shape[-1] == 2 * s
-    return g_values, g_desc
 
 
 def embed_time_tokens(params, cfg: SlatConfig, values, descriptors) -> np.ndarray:
@@ -298,23 +276,28 @@ def _block_backward(gy, cache, prefix, grads):
     return g_x + g_x1, g_mem
 
 
-def _encoder_forward(x, params, cfg, name, n_blocks, mask, train, rng):
+def _stack_forward(x, mem, params, cfg, name, n_blocks, mask, train, rng):
+    """n_blocks blocks then a final layer norm; the cache is None unless train."""
     caches = []
     for i in range(n_blocks):
-        x, c = _block_forward(x, None, params, cfg, f"{name}.{i}.", mask, train, rng)
-        caches.append(c)
+        x, c = _block_forward(x, mem, params, cfg, f"{name}.{i}.", mask, train, rng)
+        if train:
+            caches.append(c)
     x, lnc = layers.layer_norm(x, params[f"{name}.final_ln.g"], params[f"{name}.final_ln.b"])
-    return x, (caches, lnc)
+    return x, (caches, lnc) if train else None
 
 
-def _encoder_backward(gy, params, name, cache, grads):
+def _stack_backward(gy, name, cache, grads):
+    """Returns (gx, gmem); gmem sums the blocks' memory gradients, None without mem."""
     caches, lnc = cache
-    gy, gg, gb = layers.layer_norm_backward(gy, lnc)
-    grads[f"{name}.final_ln.g"] = gg
-    grads[f"{name}.final_ln.b"] = gb
+    gy, grads[f"{name}.final_ln.g"], grads[f"{name}.final_ln.b"] = \
+        layers.layer_norm_backward(gy, lnc)
+    gmem = None
     for i in reversed(range(len(caches))):
-        gy, _ = _block_backward(gy, caches[i], f"{name}.{i}.", grads)
-    return gy
+        gy, gm = _block_backward(gy, caches[i], f"{name}.{i}.", grads)
+        if gm is not None:
+            gmem = gm if gmem is None else gmem + gm
+    return gy, gmem
 
 
 # -- full network -------------------------------------------------------------
@@ -327,7 +310,8 @@ def masks_for(cfg: SlatConfig) -> tuple[SparseMask, SparseMask]:
 
 
 def forward(params, cfg: SlatConfig, values, descriptors, *, train=False, rng=None):
-    """Unclamped predictions (B,) plus the cache for :func:`backward`.
+    """Unclamped predictions (B,) plus the cache for :func:`backward`, which
+    is None unless ``train``.
 
     values: (B, n_stw, S) normalized window tensors; descriptors: (B, 2S).
     """
@@ -347,55 +331,41 @@ def forward(params, cfg: SlatConfig, values, descriptors, *, train=False, rng=No
     time_mask, sensor_mask = masks_for(cfg)
     t_tok, t_emb_cache = _embed_time(params, cfg, values, descriptors)
     s_tok, s_emb_cache = _embed_sensor(params, cfg, values, descriptors)
-    t_out, t_enc_cache = _encoder_forward(
-        t_tok, params, cfg, "time_enc", cfg.time_blocks, time_mask, train, rng)
-    s_out, s_enc_cache = _encoder_forward(
-        s_tok, params, cfg, "sensor_enc", cfg.sensor_blocks, sensor_mask, train, rng)
-    mem = fuse(t_out, s_out)
-
-    b = values.shape[0]
-    q = np.broadcast_to(params["decoder.query"], (b, 1, cfg.d_model))
-    dec_caches = []
-    for i in range(cfg.decoder_blocks):
-        q, c = _block_forward(q, mem, params, cfg, f"decoder.{i}.", None, train, rng)
-        dec_caches.append(c)
-    q, final_lnc = layers.layer_norm(q, params["decoder.final_ln.g"], params["decoder.final_ln.b"])
+    t_out, t_enc_cache = _stack_forward(
+        t_tok, None, params, cfg, "time_enc", cfg.time_blocks, time_mask, train, rng)
+    s_out, s_enc_cache = _stack_forward(
+        s_tok, None, params, cfg, "sensor_enc", cfg.sensor_blocks, sensor_mask, train, rng)
+    q = np.broadcast_to(params["decoder.query"], (values.shape[0], 1, cfg.d_model))
+    q, dec_cache = _stack_forward(q, fuse(t_out, s_out), params, cfg, "decoder",
+                                  cfg.decoder_blocks, None, train, rng)
     out, head_cache = layers.linear(q, params["head.w"], params["head.b"])
-    preds = out[:, 0, 0]
-    cache = (values.shape, t_emb_cache, s_emb_cache, t_enc_cache, s_enc_cache,
-             dec_caches, final_lnc, head_cache)
-    return preds, cache
+    cache = (t_emb_cache, s_emb_cache, t_enc_cache, s_enc_cache, dec_cache, head_cache)
+    return out[:, 0, 0], cache if train else None
 
 
 def backward(params, cfg: SlatConfig, cache, gpreds) -> dict[str, np.ndarray]:
-    """Gradient dict (same keys as params) of a scalar loss given d loss/d preds."""
-    (shape, t_emb_cache, s_emb_cache, t_enc_cache, s_enc_cache,
-     dec_caches, final_lnc, head_cache) = cache
-    b, n, s = shape
+    """Gradient dict (same keys as params) of a scalar loss given d loss/d preds.
+
+    The inputs are data, not parameters, so their gradients are dropped.
+    """
+    if cache is None:
+        raise ValueError("backward needs the cache of a forward with train=True")
+    t_emb_cache, s_emb_cache, t_enc_cache, s_enc_cache, dec_cache, head_cache = cache
+    n = cfg.n_stw
     grads: dict[str, np.ndarray] = {}
 
-    gq = np.asarray(gpreds, dtype=np.float64).reshape(b, 1, 1)
-    gq, gw, gbias = layers.linear_backward(gq, head_cache)
-    grads["head.w"] = gw
-    grads["head.b"] = gbias
-    gq, gg, gbn = layers.layer_norm_backward(gq, final_lnc)
-    grads["decoder.final_ln.g"] = gg
-    grads["decoder.final_ln.b"] = gbn
-
-    g_mem = None
-    for i in reversed(range(cfg.decoder_blocks)):
-        gq, gm = _block_backward(gq, dec_caches[i], f"decoder.{i}.", grads)
-        g_mem = gm if g_mem is None else g_mem + gm
+    gq = np.asarray(gpreds, dtype=np.float64).reshape(-1, 1, 1)
+    gq, grads["head.w"], grads["head.b"] = layers.linear_backward(gq, head_cache)
+    gq, g_mem = _stack_backward(gq, "decoder", dec_cache, grads)
     grads["decoder.query"] = gq.sum(axis=(0, 1))
 
-    g_t_out = g_mem[:, :n, :]
-    g_s_out = g_mem[:, n:, :]
-    g_t_tok = _encoder_backward(g_t_out, params, "time_enc", t_enc_cache, grads)
-    g_s_tok = _encoder_backward(g_s_out, params, "sensor_enc", s_enc_cache, grads)
-    gv_t, gd_t = _embed_time_backward(g_t_tok, t_emb_cache, s, grads)
-    gv_s, gd_s = _embed_sensor_backward(g_s_tok, s_emb_cache, n, grads)
-    # input gradients (gv_t + gv_s, gd_t + gd_s) are discarded; inputs are data
-    del gv_t, gv_s, gd_t, gd_s
+    g_t_tok, _ = _stack_backward(g_mem[:, :n, :], "time_enc", t_enc_cache, grads)
+    g_s_tok, _ = _stack_backward(g_mem[:, n:, :], "sensor_enc", s_enc_cache, grads)
+    _, grads["time_embed.w"], grads["time_embed.b"] = \
+        layers.linear_backward(g_t_tok, t_emb_cache)
+    grads["sensor_embed.ident"] = g_s_tok.reshape(-1, *g_s_tok.shape[-2:]).sum(axis=0)
+    _, grads["sensor_embed.w"], grads["sensor_embed.b"] = \
+        layers.linear_backward(g_s_tok, s_emb_cache)
     return grads
 
 

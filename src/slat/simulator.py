@@ -115,7 +115,6 @@ class SimConfig:
     noise_scale: float = 1.0
     n_trajectories: int = 10
     max_steps: int = 10000
-    step_period: float = 1.0
     op: OperatingPoint = OperatingPoint()
     ctrl: ControllerConfig = ControllerConfig()
     thresholds: FailureThresholds = FailureThresholds()

@@ -2,6 +2,7 @@ import csv
 import json
 import shlex
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,11 @@ def workdir(tmp_path_factory):
                "--val-fraction", "0.0", "--model-config", str(model_json)])
     assert rc == 0
     return {"corpus": corpus, "run": run, "model_json": model_json}
+
+
+def _header(head: bytes, length: int | None = None) -> bytes:
+    """A checkpoint header: its stated length (default: the true one), then its bytes."""
+    return struct.pack("<Q", len(head) if length is None else length) + head
 
 
 class TestGenerate:
@@ -81,8 +87,11 @@ class TestTrain:
         ({**TINY_MODEL, "heads": 8.0}, "heads"),
         ({**TINY_MODEL, "rank": 2.5}, "rank"),
         ({**TINY_MODEL, "band_width": True}, "band_width"),
+        ({**TINY_MODEL, "rul_cap": 60.0}, "rul_cap"),
+        ({**TINY_MODEL, "n_stw": 20, "n_channels": 9}, "n_channels, n_stw"),
     ], ids=["unknown_field", "not_an_object", "str_int", "str_float",
-            "float_int", "fractional_rank", "bool_int"])
+            "float_int", "fractional_rank", "bool_int", "corpus_rul_cap",
+            "corpus_window_and_channels"])
     def test_bad_model_config_is_runtime_error(self, workdir, tmp_path, capsys,
                                                config, named):
         path = tmp_path / "model.json"
@@ -134,16 +143,33 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "head." in err and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("head", [
-        b"{}",
-        b"[1]",
-        b'{"config": {}, "tensors": [{"name": "head.w"}]}',
-        None,
-    ], ids=["empty_object", "list", "tensor_without_shape", "length_cut_short"])
-    def test_malformed_checkpoint_header_is_runtime_error(self, workdir, tmp_path,
-                                                          head, capsys):
+    def test_checkpoint_config_must_match_corpus(self, workdir, tmp_path, capsys):
+        params, cfg, pipeline = load_checkpoint(workdir["run"] / "model.ckpt")
         bad = tmp_path / "bad.ckpt"
-        body = b"\x02\x00\x00" if head is None else struct.pack("<Q", len(head)) + head
+        save_checkpoint(bad, params, replace(cfg, rul_cap=60.0), pipeline)
+        rc = main(["evaluate", "--corpus", str(workdir["corpus"]),
+                   "--checkpoint", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "rul_cap=60.0" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("body", [
+        _header(b"{}"),
+        _header(b"[1]"),
+        _header(b'{"config": {}, "tensors": [{"name": "head.w"}]}'),
+        b"\x02\x00\x00",
+        _header(b"{}", length=2**64 - 1),
+        _header(b"{}", length=2**40),
+        _header(b'{"config": {}, "tensors": [{"name": "head.w", "shape": [4611686018427387904]}]}'),
+        _header(b'{"config": {}, "tensors": [{"name": "head.w", "shape": [2.5]}]}'),
+        _header(b'{"config": {}, "tensors": [{"name": "head.w", "shape": [-1]}]}'),
+        _header(b'{"config": {}, "tensors": [{"name": "head.w", "shape": [1024]}]}') + bytes(8),
+    ], ids=["empty_object", "list", "tensor_without_shape", "length_cut_short",
+            "length_max_u64", "length_2_40", "shape_2_62", "fractional_dim",
+            "negative_dim", "tensor_past_end"])
+    def test_malformed_checkpoint_header_is_runtime_error(self, workdir, tmp_path,
+                                                          body, capsys):
+        bad = tmp_path / "bad.ckpt"
         bad.write_bytes(MAGIC + body)
         rc = main(["evaluate", "--corpus", str(workdir["corpus"]),
                    "--checkpoint", str(bad)])

@@ -1,7 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slat.attention import build_mask
 from slat.gradcheck import TINY_CONFIG, check_model_gradients
@@ -194,6 +197,15 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(params, TINY, bad, desc)
 
+    def test_inference_keeps_no_cache(self):
+        rng = np.random.default_rng(13)
+        params = init_params(TINY, rng)
+        values, desc = make_batch(TINY, rng)
+        preds, cache = forward(params, TINY, values, desc)
+        assert cache is None
+        with pytest.raises(ValueError, match="train=True"):
+            backward(params, TINY, cache, np.ones_like(preds))
+
     def test_mask_mode_changes_output(self):
         rng = np.random.default_rng(8)
         params = init_params(TINY, rng)
@@ -209,7 +221,7 @@ class TestBackward:
         rng = np.random.default_rng(9)
         params = init_params(TINY, rng)
         values, desc = make_batch(TINY, rng)
-        preds, cache = forward(params, TINY, values, desc)
+        preds, cache = forward(params, TINY, values, desc, train=True)
         grads = backward(params, TINY, cache, np.ones_like(preds))
         assert set(grads) == set(params)
         for k, g in grads.items():
@@ -230,7 +242,7 @@ class TestBackward:
         rng = np.random.default_rng(10)
         params = init_params(TINY, rng)
         values, desc = make_batch(TINY, rng)
-        preds, cache = forward(params, TINY, values, desc)
+        preds, cache = forward(params, TINY, values, desc, train=True)
         grads = backward(params, TINY, cache, np.zeros_like(preds))
         assert all(np.allclose(g, 0.0) for g in grads.values())
 
@@ -257,6 +269,37 @@ class TestPredict:
         # batch size may change the BLAS reduction path, so equality is only
         # up to a few ulp; identical batching is covered by the bitwise tests
         np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=1e-14)
+
+    @given(b=st.integers(1, 9), seed=st.integers(0, 10**6), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_rows_are_independent_of_the_batch(self, b, seed, data):
+        rng = np.random.default_rng(seed)
+        params = init_params(TINY, rng)
+        params["head.b"] = params["head.b"] + TINY.rul_cap / 2  # keep clear of the clamp
+        values, desc = make_batch(TINY, rng, b=b)
+        whole = predict_rul(params, TINY, (values, desc))
+        i = data.draw(st.integers(0, b - 1), label="row")
+        alone = predict_rul(params, TINY, (values[i:i + 1], desc[i:i + 1]))
+        np.testing.assert_allclose(alone, whole[i:i + 1], rtol=1e-12, atol=0)
+        perm = np.array(data.draw(st.permutations(range(b)), label="perm"))
+        permuted = predict_rul(params, TINY, (values[perm], desc[perm]))
+        np.testing.assert_allclose(permuted, whole[perm], rtol=1e-12, atol=0)
+
+    def test_inference_peak_memory_at_batch_256(self):
+        cfg = SlatConfig()
+        rng = np.random.default_rng(15)
+        params = init_params(cfg, rng)
+        values = rng.standard_normal((256, cfg.n_stw, cfg.n_channels))
+        desc = rng.standard_normal((256, 2 * cfg.n_channels))
+        tracemalloc.start()
+        try:
+            predict_rul(params, cfg, (values, desc))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's activations at a time; holding every block's backward
+        # cache peaks near 565 MB
+        assert peak < 300e6, f"{peak / 1e6:.0f} MB"
 
     def test_stack_samples_layout(self):
         rng = np.random.default_rng(14)
