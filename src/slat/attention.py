@@ -246,7 +246,6 @@ def multi_head_attention(
     heads: Sequence[tuple[LowRankProjection, LowRankProjection, LowRankProjection]],
     w_o: np.ndarray,
     mask: SparseMask | None,
-    b_o: np.ndarray | None = None,
     mode: str = "neg_inf",
 ) -> np.ndarray:
     """Self-attention over x (L, d_model) with per-head (Q, K, V) projections."""
@@ -254,20 +253,12 @@ def multi_head_attention(
     d_head, rem = divmod(d_model, len(heads))
     if rem != 0:
         raise ValueError(f"d_model {d_model} not divisible by {len(heads)} heads")
-    for trip in heads:
-        for p in trip:
-            if p.v.shape[1] != d_head:
-                raise ValueError(f"head dim {p.v.shape[1]} != d_model/heads = {d_head}")
-    weights = {
-        "q_u": np.stack([t[0].u for t in heads]),
-        "q_v": np.stack([t[0].v for t in heads]),
-        "k_u": np.stack([t[1].u for t in heads]),
-        "k_v": np.stack([t[1].v for t in heads]),
-        "v_u": np.stack([t[2].u for t in heads]),
-        "v_v": np.stack([t[2].v for t in heads]),
-        "out_w": w_o,
-        "out_b": np.zeros(d_model, dtype=x.dtype) if b_o is None else b_o,
-    }
+    bad = [p.v.shape[1] for trip in heads for p in trip if p.v.shape[1] != d_head]
+    if bad:
+        raise ValueError(f"head dim {bad[0]} != d_model/heads = {d_head}")
+    weights = {f"{which}_{factor}": np.stack([getattr(t[i], factor) for t in heads])
+               for i, which in enumerate("qkv") for factor in "uv"}
+    weights.update(out_w=w_o, out_b=np.zeros(d_model, dtype=x.dtype))
     out, _ = mha_forward(x[None], x[None], weights, mask, mode)
     return out[0]
 

@@ -12,11 +12,12 @@ import json
 import math
 import os
 import struct
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .model import SlatConfig
+from .model import SlatConfig, param_shapes
 
 MAGIC = b"SLATCK01"
 
@@ -46,9 +47,11 @@ def save_checkpoint(path, params: dict, cfg: SlatConfig,
 
 
 def load_checkpoint(path):
-    """Returns (params, config, pipeline). A file that is not a well-formed
-    checkpoint raises ValueError naming it; no read is sized beyond the bytes
-    the file has left."""
+    """Returns (params, config, pipeline). The config decides the tensors: the
+    header's index must list ``sorted(param_shapes(config))`` (names, order,
+    shapes) and the bytes after it must be their float64 values, exactly.
+    Anything else raises ValueError naming the file (and the first differing
+    index entry)."""
     try:
         with open(Path(path), "rb") as fh:
             return _read_checkpoint(fh)
@@ -67,19 +70,19 @@ def _read_checkpoint(fh):
     if head_len > size - fh.tell():
         raise ValueError(f"header length {head_len} exceeds the {size - fh.tell()} bytes left")
     header = json.loads(fh.read(head_len).decode("utf-8"))
-    params = {}
-    for rec in header["tensors"]:
-        shape = rec["shape"]
-        if not isinstance(shape, list) or not all(
-                isinstance(k, int) and not isinstance(k, bool) and k >= 0 for k in shape):
-            raise ValueError(f"tensor {rec['name']}: shape {shape!r} is not a list "
-                             "of non-negative integers")
-        nbytes = 8 * math.prod(shape)
-        if nbytes > size - fh.tell():
-            raise ValueError(f"truncated tensor {rec['name']}")
-        params[rec["name"]] = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(shape).copy()
-    if fh.read(1):
-        raise ValueError("trailing bytes after last tensor")
     config = dict(header["config"])
     config.pop("dtype", None)  # a field of configs written before all models were float64
-    return params, SlatConfig.from_dict(config), dict(header.get("pipeline", {}))
+    cfg = SlatConfig.from_dict(config)
+    shapes = sorted(param_shapes(cfg))
+    index = [{"name": name, "shape": list(shape)} for name, shape in shapes]
+    for i, (stored, want) in enumerate(zip_longest(header["tensors"], index)):
+        if stored != want:
+            raise ValueError(f"tensor entry {i} is {stored}, its config wants {want}")
+    sizes = [math.prod(shape) for _, shape in shapes]
+    flat = np.empty(sum(sizes), dtype="<f8")
+    if size - fh.tell() != flat.nbytes:
+        raise ValueError(f"{size - fh.tell()} tensor bytes left, its config needs {flat.nbytes}")
+    fh.readinto(flat)
+    params = {name: part.reshape(shape) for (name, shape), part
+              in zip(shapes, np.split(flat, np.cumsum(sizes)[:-1]))}
+    return params, cfg, dict(header.get("pipeline", {}))

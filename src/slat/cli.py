@@ -21,7 +21,7 @@ from . import corpus as corpus_mod
 from .evaluation import (ConstantMeanBaseline, LinearWindowBaseline,
                          evaluate, model_predictor, rtf_series, write_rtf_csv)
 from .gradcheck import check_model_gradients
-from .model import SlatConfig, param_shapes
+from .model import SlatConfig
 from .training import TrainConfig, train, write_history
 from .windowing import LabelConfig, build_dataset
 
@@ -127,9 +127,7 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pipeline = {
-        "n_stw": corpus.n_stw, "stride": corpus.stride,
-        "rul_cap": corpus.rul_cap, "channels": corpus.channels,
-        "norm_stats": corpus.stats.to_dict(),
+        **corpus.contract,
         "train_config": train_cfg.to_dict(),
         "corpus_master_seed": corpus.manifest["master_seed"],
         "best_epoch": result.best_epoch,
@@ -147,32 +145,22 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _check_tensors(params, model_cfg) -> None:
-    want = dict(param_shapes(model_cfg))
-    got = {name: arr.shape for name, arr in params.items()}
-    bad = sorted(name for name in set(want) | set(got) if got.get(name) != want.get(name))
-    if bad:
-        raise ValueError(
-            f"checkpoint tensors do not match its model config at {len(bad)} name(s); "
-            f"{bad[0]}: stored {got.get(bad[0])}, config wants {want.get(bad[0])}")
-
-
 def _load_predictor(path, corpus):
-    """Load a checkpoint and check it against its own config and the corpus."""
+    """Load a checkpoint (``load_checkpoint`` has matched its tensors to its
+    config) and check it against the corpus: the config's corpus-owned fields,
+    then every contract key the checkpoint recorded at training, must equal
+    the corpus's. A missing or differing value raises one ValueError."""
     params, model_cfg, pipeline = ckpt.load_checkpoint(path)
-    _check_tensors(params, model_cfg)
-    for name, want in _corpus_fields(corpus).items():
-        # the model config governs the network; the pipeline copy records the training run
-        for have in (getattr(model_cfg, name), pipeline.get(name, want)):
-            if have != want:
-                raise ValueError(
-                    f"checkpoint was trained with {name}={have}, corpus uses {want}")
-    if pipeline.get("channels") and pipeline["channels"] != corpus.channels:
-        raise ValueError("checkpoint channel list does not match corpus")
-    stats = corpus.stats.to_dict()
-    if pipeline.get("norm_stats", stats) != stats:
-        raise ValueError("checkpoint normalization statistics do not match corpus; "
-                         "it was trained on another corpus")
+    pairs = [(name, getattr(model_cfg, name), want)
+             for name, want in _corpus_fields(corpus).items()]
+    pairs += [(key, pipeline.get(key), want) for key, want in corpus.contract.items()]
+    for name, have, want in pairs:
+        if have != want:
+            raise ValueError(
+                f"checkpoint records no {name} to check against the corpus" if have is None
+                else f"checkpoint was trained with other {name} than the corpus uses"
+                if isinstance(want, (list, dict))
+                else f"checkpoint was trained with {name}={have}, corpus uses {want}")
     return model_predictor(params, model_cfg)
 
 

@@ -25,6 +25,11 @@ from .windowing import (FaultMode, LabelConfig, NormStats, Trajectory,
 
 FORMAT_TAG = "slat-corpus-v1"
 TRAIN_FRAC = 0.8  # share of each mode's trajectories in the train split
+# the manifest settings a trained model depends on; its checkpoint records them
+CONTRACT_KEYS = ("n_stw", "stride", "rul_cap", "channels", "norm_stats")
+_MANIFEST_TYPES = {"master_seed": int, "n_stw": int, "stride": int, "rul_cap": float,
+                   "channels": list, "norm_stats": dict, "trajectories": list}
+_RECORD_TYPES = {"id": str, "mode": str, "file": str, "failure_index": int, "split": str}
 
 
 def _write_trajectory_csv(path: Path, traj: Trajectory, cap: float):
@@ -40,20 +45,16 @@ def _write_trajectory_csv(path: Path, traj: Trajectory, cap: float):
             writer.writerow(row)
 
 
-def _read_trajectory_csv(path: Path, traj_id: str, mode: FaultMode,
-                         failure_index: int) -> Trajectory:
+def _read_trajectory_csv(path: Path, rec: dict, n_channels: int) -> Trajectory:
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[0] != "t" or header[-1] != "rul":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        n_ch = len(header) - 2
-        rows = []
-        for rec in reader:
-            rows.append([float(x) for x in rec[1:1 + n_ch]])
-    return Trajectory(traj_id=traj_id, mode=mode,
+        header = next(reader, [])
+        if len(header) != n_channels + 2 or header[0] != "t" or header[-1] != "rul":
+            raise ValueError(f"header {header} is not t, ch_0..ch_{n_channels - 1}, rul")
+        rows = [[float(x) for x in row[1:-1]] for row in reader]
+    return Trajectory(traj_id=rec["id"], mode=FaultMode.from_str(rec["mode"]),
                       channels=np.asarray(rows, dtype=np.float64),
-                      failure_index=failure_index)
+                      failure_index=rec["failure_index"])
 
 
 def _split_ids(ids: Sequence[str],
@@ -101,6 +102,10 @@ class Corpus:
     @property
     def channels(self) -> list:
         return list(self.manifest["channels"])
+
+    @property
+    def contract(self) -> dict:
+        return {key: self.manifest[key] for key in CONTRACT_KEYS}
 
     def ids(self, split: str | None = None) -> list:
         if split is None:
@@ -192,18 +197,45 @@ def generate_corpus(out_dir, master_seed: int, n_per_mode: int = 10,
     return Corpus(root=out, manifest=manifest, trajectories=trajs, split=split)
 
 
-def load_corpus(root) -> Corpus:
-    root = Path(root)
-    with open(root / "manifest.json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != FORMAT_TAG:
-        raise ValueError(f"{root}: not a corpus directory "
-                         f"(format={manifest.get('format')!r})")
-    trajs = {}
-    split = {}
+def _check_fields(record, types: dict) -> None:
+    """Raise naming the first key of ``types`` that ``record`` lacks or mistypes."""
+    for key, kind in types.items():
+        value = record.get(key) if isinstance(record, dict) else None
+        if type(value) is not kind and (kind, type(value)) != (float, int):
+            raise ValueError(f"{key} must be {kind.__name__}, got {value!r:.40}")
+
+
+def _check_manifest(manifest) -> None:
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_TAG:
+        raise ValueError(f"not a corpus manifest (format {FORMAT_TAG!r} expected)")
+    _check_fields(manifest, _MANIFEST_TYPES)
     for rec in manifest["trajectories"]:
-        mode = FaultMode.from_str(rec["mode"])
-        trajs[rec["id"]] = _read_trajectory_csv(
-            root / rec["file"], rec["id"], mode, int(rec["failure_index"]))
-        split[rec["id"]] = rec["split"]
+        _check_fields(rec, _RECORD_TYPES)
+        FaultMode.from_str(rec["mode"])
+    s, stats = len(manifest["channels"]), manifest["norm_stats"]
+    for key, size in (("channel_mean", s), ("channel_std", s),
+                      ("descriptor_mean", 2 * s), ("descriptor_std", 2 * s)):
+        values = np.asarray(stats.get(key), dtype=np.float64)
+        low = 0.0 if key.endswith("std") else -np.inf
+        if values.shape != (size,) or not np.all(np.isfinite(values) & (values > low)):
+            raise ValueError(f"norm_stats {key} must be {size} finite numbers"
+                             + (" above 0" if low == 0.0 else ""))
+
+
+def load_corpus(root) -> Corpus:
+    """Read a corpus directory. A manifest or trajectory CSV the pipeline
+    cannot use raises one ValueError naming that file."""
+    root = Path(root)
+    path = root / "manifest.json"
+    trajs = {}
+    try:  # path names the file being read
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        _check_manifest(manifest)
+        for rec in manifest["trajectories"]:
+            path = root / rec["file"]
+            trajs[rec["id"]] = _read_trajectory_csv(path, rec, len(manifest["channels"]))
+    except (TypeError, ValueError) as exc:  # TypeError: a norm stat of JSON objects
+        raise ValueError(f"{path}: {exc}") from None
+    split = {rec["id"]: rec["split"] for rec in manifest["trajectories"]}
     return Corpus(root=root, manifest=manifest, trajectories=trajs, split=split)

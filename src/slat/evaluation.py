@@ -22,6 +22,7 @@ from .windowing import (FaultMode, LabelConfig, NormStats, Trajectory,
                         Windows, build_dataset)
 
 MODE_ORDER = tuple(m.value for m in FaultMode)
+RIDGE = 1e-6  # penalty of the linear baseline's singular-system fallback
 
 
 def rmse(preds, targets) -> float:
@@ -168,7 +169,6 @@ class LinearWindowBaseline:
     """
 
     rul_cap: float = 125.0
-    ridge: float = 1e-6
     weights: np.ndarray | None = None
     used_ridge: bool = False
 
@@ -192,7 +192,7 @@ class LinearWindowBaseline:
             self.used_ridge = False
         except np.linalg.LinAlgError:
             eye = np.eye(gram.shape[0])
-            self.weights = np.linalg.solve(gram + self.ridge * eye, rhs)
+            self.weights = np.linalg.solve(gram + RIDGE * eye, rhs)
             self.used_ridge = True
         return self
 

@@ -17,6 +17,7 @@ from .model import SlatConfig, backward, forward, init_params
 
 DEFAULT_H = 1e-5
 REL_ERR_FLOOR = 1e-6
+BATCH = 2  # windows in the checked loss
 
 TINY_CONFIG = SlatConfig(
     n_stw=6,
@@ -50,9 +51,8 @@ def numeric_gradient(f, x: np.ndarray, h: float = DEFAULT_H) -> np.ndarray:
     return g
 
 
-def relative_error(analytic: np.ndarray, numeric: np.ndarray,
-                   floor: float = REL_ERR_FLOOR) -> float:
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), REL_ERR_FLOOR)
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
@@ -74,7 +74,6 @@ class GradCheckResult:
 def check_model_gradients(
     cfg: SlatConfig | None = None,
     seed: int = 0,
-    batch: int = 2,
     h: float = DEFAULT_H,
     threshold: float = 1e-3,
 ) -> GradCheckResult:
@@ -87,16 +86,16 @@ def check_model_gradients(
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     params = init_params(cfg, rng)
-    values = rng.normal(size=(batch, cfg.n_stw, cfg.n_channels))
-    descriptors = rng.normal(size=(batch, 2 * cfg.n_channels))
-    targets = rng.normal(size=batch)
+    values = rng.normal(size=(BATCH, cfg.n_stw, cfg.n_channels))
+    descriptors = rng.normal(size=(BATCH, 2 * cfg.n_channels))
+    targets = rng.normal(size=BATCH)
 
     def loss() -> float:
         preds, _ = forward(params, cfg, values, descriptors)
         return float(np.mean((preds - targets) ** 2))
 
     preds, cache = forward(params, cfg, values, descriptors, train=True)
-    gpreds = 2.0 * (preds - targets) / batch
+    gpreds = 2.0 * (preds - targets) / BATCH
     analytic = backward(params, cfg, cache, gpreds)
 
     per_tensor: dict[str, float] = {}

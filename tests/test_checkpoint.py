@@ -66,16 +66,16 @@ def test_rejects_trailing_bytes(tmp_path, tiny_state):
         load_checkpoint(tmp_path / "fat.ckpt")
 
 
-def test_scalar_and_vector_shapes_preserved(tmp_path):
+def test_rejects_tensors_its_config_does_not_list(tmp_path):
+    """The config decides the tensor set: a checkpoint of other tensors is
+    refused, naming the first index entry that differs."""
     cfg = SlatConfig(n_stw=6, n_channels=2, d_model=8, time_blocks=1,
                      sensor_blocks=1, decoder_blocks=1, heads=2, rank=2)
     params = {"w": np.arange(6, dtype=np.float64).reshape(2, 3),
               "q": np.arange(4, dtype=np.float64)}
     save_checkpoint(tmp_path / "s.ckpt", params, cfg, None)
-    loaded, _, pipe = load_checkpoint(tmp_path / "s.ckpt")
-    assert loaded["w"].shape == (2, 3)
-    assert loaded["q"].shape == (4,)
-    assert pipe == {}
+    with pytest.raises(ValueError, match=r"tensor entry 0 is \{'name': 'q', 'shape': \[4\]\}"):
+        load_checkpoint(tmp_path / "s.ckpt")
 
 
 def test_header_with_legacy_dtype_field_loads(tmp_path, tiny_state):

@@ -1,6 +1,8 @@
 import csv
 import json
+import math
 import shlex
+import shutil
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -43,6 +45,49 @@ def workdir(tmp_path_factory):
 def _header(head: bytes, length: int | None = None) -> bytes:
     """A checkpoint header: its stated length (default: the true one), then its bytes."""
     return struct.pack("<Q", len(head) if length is None else length) + head
+
+
+def _edit_manifest(change):
+    """A corpus corruption: rewrite manifest.json as change(manifest)."""
+    def corrupt(root):
+        path = root / "manifest.json"
+        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+        return path
+    return corrupt
+
+
+def _edit_csv(change):
+    """A corpus corruption: rewrite the first trajectory CSV as change(text)."""
+    def corrupt(root):
+        path = root / "PL_000.csv"
+        path.write_text(change(path.read_text()))
+        return path
+    return corrupt
+
+
+def _without(key):
+    return _edit_manifest(lambda m: {k: v for k, v in m.items() if k != key})
+
+
+def _with_stat(key, change):
+    return _edit_manifest(lambda m: {**m, "norm_stats": {**m["norm_stats"],
+                                                         key: change(m["norm_stats"][key])}})
+
+
+CORPUS_CORRUPTIONS = {
+    "no_trajectories": _without("trajectories"),
+    "no_n_stw": _without("n_stw"),
+    "no_norm_stats": _without("norm_stats"),
+    "no_channels": _without("channels"),
+    "str_rul_cap": _edit_manifest(lambda m: {**m, "rul_cap": "125"}),
+    "list_manifest": _edit_manifest(lambda m: [1]),
+    "empty_csv": _edit_csv(lambda text: ""),
+    "dropped_column": _edit_csv(lambda text: "".join(
+        ",".join(line.split(",")[:1] + line.split(",")[2:]) + "\n"
+        for line in text.splitlines())),
+    "three_channel_means": _with_stat("channel_mean", lambda v: v[:3]),
+    "zero_channel_std": _with_stat("channel_std", lambda v: [0.0] * len(v)),
+}
 
 
 class TestGenerate:
@@ -177,6 +222,48 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert str(bad) in err and len(err.strip().splitlines()) == 1
 
+    def test_duplicated_tensor_entry_is_runtime_error(self, workdir, tmp_path, capsys):
+        """A second head.b entry, with its own bytes, is refused, not read over the first."""
+        data = (workdir["run"] / "model.ckpt").read_bytes()
+        start = len(MAGIC) + 8
+        (head_len,) = struct.unpack("<Q", data[len(MAGIC):start])
+        header = json.loads(data[start:start + head_len])
+        names = [rec["name"] for rec in header["tensors"]]
+        at = names.index("head.b") + 1
+        header["tensors"].insert(at, {"name": "head.b", "shape": [1]})
+        offset = start + head_len + 8 * sum(
+            math.prod(rec["shape"]) for rec in header["tensors"][:at])
+        head = json.dumps(header, sort_keys=True).encode("utf-8")
+        bad = tmp_path / "dup.ckpt"
+        bad.write_bytes(MAGIC + _header(head) + data[start + head_len:offset]
+                        + struct.pack("<d", 99.0) + data[offset:])
+        rc = main(["evaluate", "--corpus", str(workdir["corpus"]), "--checkpoint", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "head.b" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("case", ["no_pipeline", "no_norm_stats"])
+    def test_checkpoint_without_contract_is_runtime_error(self, workdir, tmp_path,
+                                                          capsys, case):
+        """A checkpoint that does not record the corpus contract cannot be
+        matched to a corpus; without that check it scores any corpus."""
+        params, cfg, pipeline = load_checkpoint(workdir["run"] / "model.ckpt")
+        corpus = workdir["corpus"]
+        if case == "no_pipeline":
+            pipeline = None
+            corpus = tmp_path / "other_corpus"
+            assert main(["generate", "--out", str(corpus), "--seed", "9",
+                         "--trajectories", "2", "--n-stw", "30"]) == 0
+            capsys.readouterr()
+        else:
+            del pipeline["norm_stats"]
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, params, cfg, pipeline)
+        rc = main(["evaluate", "--corpus", str(corpus), "--checkpoint", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "records no" in err and len(err.strip().splitlines()) == 1
+
     def test_checkpoint_from_another_corpus_is_runtime_error(self, workdir, tmp_path):
         other = tmp_path / "other_corpus"
         assert main(["generate", "--out", str(other), "--seed", "9",
@@ -215,6 +302,18 @@ class TestBaseline:
         out = capsys.readouterr().out
         assert f"baseline: {kind}" in out
         assert "Average" in out
+
+    @pytest.mark.parametrize("corruption", list(CORPUS_CORRUPTIONS))
+    def test_corrupted_corpus_is_runtime_error(self, workdir, tmp_path, capsys,
+                                               corruption):
+        """Each corruption exits 2 with one line naming the file at fault."""
+        root = tmp_path / "corpus"
+        shutil.copytree(workdir["corpus"], root)
+        at_fault = CORPUS_CORRUPTIONS[corruption](root)
+        rc = main(["baseline", "--corpus", str(root), "--kind", "constant"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(at_fault) in err and len(err.strip().splitlines()) == 1
 
 
 class TestGradcheck:
