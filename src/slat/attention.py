@@ -6,9 +6,11 @@ to and are attended by everything. Q/K/V projection weights are factored as
 ``W = U @ V`` with a small inner rank, which cuts the parameter count of each
 projection from ``d_model * d_head`` to ``r * (d_model + d_head)``.
 
-One core serves every entry point: :func:`_project` (``(x @ u) @ v``) and
-:func:`_attend` (scores, masked softmax, context). The reference API and the
-model's cached :func:`mha_forward` / :func:`mha_backward` are views over it.
+One core serves every entry point: each head's factors are merged into one
+weight ``u @ v`` (the LoRA merge; the stored factors are unchanged), so a
+projection is one GEMM, and :func:`_attend` computes scores, masked softmax
+and context. The reference API and the model's cached :func:`mha_forward` /
+:func:`mha_backward` are views over it.
 
 Masked logits are dropped to -inf before the softmax by default, so masked
 weights are exact zeros. The alternative ``"hadamard"`` mode, selected by
@@ -76,40 +78,22 @@ class LowRankProjection:
             raise ValueError(f"incompatible factor shapes {self.u.shape} x {self.v.shape}")
 
     @property
-    def rank(self) -> int:
-        return self.u.shape[1]
-
-    @property
     def n_params(self) -> int:
         return self.u.size + self.v.size
 
 
-def _project(x, u, v):
-    """``(x @ u) @ v``, or ``x @ u`` when ``v`` is None (dense weight).
-    Returns (output, x @ u kept for the backward pass, or None when dense)."""
-    hid = x @ u
-    if v is None:
-        return hid, None
-    return hid @ v, hid
-
-
 def lowrank_project(x: np.ndarray, proj: LowRankProjection) -> np.ndarray:
-    """``x @ u @ v`` evaluated as ``(x @ u) @ v`` so cost stays linear in rank."""
+    """``x @ (u @ v)``: the factors are merged into one weight, as in
+    :func:`mha_forward`."""
     if x.shape[-1] != proj.u.shape[0]:
         raise ValueError(f"input feature dim {x.shape[-1]} != projection dim {proj.u.shape[0]}")
-    return _project(x, proj.u, proj.v)[0]
+    return x @ (proj.u @ proj.v)
 
 
 @dataclass(frozen=True)
 class AttentionOutput:
     values: np.ndarray   # (..., L, d_head)
     weights: np.ndarray  # (..., L, L), row-stochastic, exact zeros off-mask
-
-
-def _check_finite(name, *arrays):
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise ValueError(f"non-finite values in {name}")
 
 
 def masked_softmax(logits: np.ndarray, allowed: np.ndarray | None, mode: str = "neg_inf") -> np.ndarray:
@@ -121,16 +105,16 @@ def masked_softmax(logits: np.ndarray, allowed: np.ndarray | None, mode: str = "
     """
     if mode not in MASK_MODES:
         raise ValueError(f"unknown mask mode {mode!r}")
-    if allowed is not None:
-        if mode == "neg_inf":
-            logits = np.where(allowed, logits, -np.inf)
-        else:
-            logits = logits * allowed
-    # max-subtraction over the surviving entries only; every row has at least
-    # one finite logit because masks keep the diagonal
-    shift = logits.max(axis=-1, keepdims=True)
-    expl = np.exp(logits - shift)
-    return expl / expl.sum(axis=-1, keepdims=True)
+    # one fresh array, shifted by the max of the surviving entries (masks keep
+    # the diagonal, so each row has one), exponentiated and normalized in place
+    if allowed is None:
+        out = logits - logits.max(axis=-1, keepdims=True)
+    else:
+        out = np.where(allowed, logits, -np.inf) if mode == "neg_inf" else logits * allowed
+        out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def masked_attention(
@@ -145,7 +129,8 @@ def masked_attention(
 
     Accepts arbitrary leading axes: q/k/v are (..., L, d_head).
     """
-    _check_finite("attention inputs", q, k, v)
+    if not all(np.all(np.isfinite(a)) for a in (q, k, v)):
+        raise ValueError("non-finite values in attention inputs")
     if q.shape != k.shape or k.shape != v.shape:
         raise ValueError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
     if mask is not None and mask.length != q.shape[-2]:
@@ -159,30 +144,35 @@ def masked_attention(
 def _attend(q, k, v, allowed, mode, scale):
     """Scaled scores, masked softmax and context over (..., L, d_head) inputs.
     Returns (context, attention weights)."""
-    logits = (q @ np.swapaxes(k, -1, -2)) * scale
+    logits = q @ np.swapaxes(k, -1, -2)
+    logits *= scale
     attn = masked_softmax(logits, allowed, mode)
     return attn @ v, attn
 
 
 # ---------------------------------------------------------------------------
 # Cached multi-head attention used by the model. Heads are stacked on axis 0
-# of the factor arrays: u (H, d_in, r), v (H, r, d_head). Dense (unfactored)
-# projections use a single stacked weight (H, d_in, d_head) instead. Inputs
-# (B, L, d_in) gain a head axis, x[:, None], so ``@`` broadcasts over heads.
+# of the factor arrays: u (H, d_in, r), v (H, r, d_head); a dense projection
+# stores u (H, d_in, d_head) alone. Each call merges the factors into one wide
+# weight (:func:`_wide_weight`): Q is one GEMM over the query tokens and [K|V]
+# one over the key tokens, in both passes, and the GEMM output's token rows
+# (B * L, H * d_head) are viewed as heads (B, H, L, d_head).
 # ---------------------------------------------------------------------------
 
 
-def _project_backward(g, x, u, v, hid):
-    """Gradients of :func:`_project` of x[:, None] (x is (B, L, d)) given
-    g = d loss/d output (B, H, L, d_head). Returns (gx, gu, gv); gv is None
-    when dense."""
-    gv = None
-    if v is not None:
-        gv = (np.swapaxes(hid, -1, -2) @ g).sum(axis=0)
-        g = g @ np.swapaxes(v, -1, -2)
-    gu = (np.swapaxes(x, -1, -2)[:, None] @ g).sum(axis=0)
-    gx = (g @ np.swapaxes(u, -1, -2)).sum(axis=1)
-    return gx, gu, gv
+def _wide_weight(weights: dict):
+    """The q, k and v heads stacked, u (3H, d_in, r) and v (3H, r, d_head)
+    (v is None when dense), and each head's weight ``u @ v`` (``u`` when
+    dense) laid out as one (d_in, 3 * H * d_head) matrix [W_q | W_k | W_v]."""
+    u = np.concatenate([weights[f"{p}_u"] for p in "qkv"])
+    v = np.concatenate([weights[f"{p}_v"] for p in "qkv"]) if "q_v" in weights else None
+    n, d, _ = u.shape
+    wide = np.empty((d, n, (u if v is None else v).shape[2]))
+    if v is None:
+        np.copyto(wide.transpose(1, 0, 2), u)
+    else:  # written straight into the wide layout: no transposed copy
+        np.matmul(u, v, out=wide.transpose(1, 0, 2))
+    return u, v, wide.reshape(d, -1)
 
 
 def mha_forward(
@@ -192,53 +182,75 @@ def mha_forward(
     mask: SparseMask | None,
     mode: str = "neg_inf",
 ):
-    """Multi-head attention of x_q over x_kv (both (B, L, d_model)).
+    """Multi-head attention of x_q (B, Lq, d_model) over x_kv (B, Lk, d_model).
 
     ``weights`` holds q_u/k_u/v_u (and the matching *_v factors when
     low-rank) plus out_w/out_b. Returns (output (B, Lq, d_model), cache).
     """
-    q, q_hid = _project(x_q[:, None], weights["q_u"], weights.get("q_v"))
-    k, k_hid = _project(x_kv[:, None], weights["k_u"], weights.get("k_v"))
-    v, v_hid = _project(x_kv[:, None], weights["v_u"], weights.get("v_v"))
-    scale = 1.0 / np.sqrt(q.shape[-1])
+    b, lq, d = x_q.shape
+    h = weights["q_u"].shape[0]
+    heads_u, heads_v, wide = _wide_weight(weights)
+    hw = wide.shape[1] // 3  # H * d_head
+    e = hw // h
+    q = (x_q.reshape(-1, d) @ wide[:, :hw]).reshape(b, lq, h, e).transpose(0, 2, 1, 3)
+    k, v = (x_kv.reshape(-1, d) @ wide[:, hw:]).reshape(b, -1, 2, h, e).transpose(2, 0, 3, 1, 4)
+    scale = 1.0 / np.sqrt(e)
     allowed = None if mask is None else mask.dense
     ctx, attn = _attend(q, k, v, allowed, mode, scale)
-    b, h, lq, e = ctx.shape
-    concat = ctx.transpose(0, 2, 1, 3).reshape(b, lq, h * e)
-    out = concat @ weights["out_w"] + weights["out_b"]
-    cache = (x_q, x_kv, q, k, v, q_hid, k_hid, v_hid, attn, concat, scale, allowed, mode, weights)
-    return out, cache
+    concat = ctx.transpose(0, 2, 1, 3).reshape(b * lq, hw)
+    out = concat @ weights["out_w"]
+    out += weights["out_b"]
+    cache = (x_q, x_kv, heads_u, heads_v, wide, q, k, v, attn, concat, scale, allowed, mode,
+             weights)
+    return out.reshape(b, lq, -1), cache
 
 
 def mha_backward(gy: np.ndarray, cache):
     """Returns (gx_q, gx_kv, grads dict keyed like the weights dict)."""
-    x_q, x_kv, q, k, v, q_hid, k_hid, v_hid, attn, concat, scale, allowed, mode, weights = cache
+    (x_q, x_kv, heads_u, heads_v, wide, q, k, v, attn, concat, scale, allowed, mode,
+     weights) = cache
     b, lq, d = gy.shape
-    h = attn.shape[1]
-    e = q.shape[-1]
-
-    g_out_w = concat.reshape(-1, h * e).T @ gy.reshape(-1, d)
-    g_out_b = gy.reshape(-1, d).sum(axis=0)
+    _, h, lk, e = k.shape
+    hw = h * e
+    gy = gy.reshape(-1, d)
+    grads = {"out_w": concat.T @ gy, "out_b": gy.sum(axis=0)}
     g_concat = gy @ weights["out_w"].T
     g_ctx = g_concat.reshape(b, lq, h, e).transpose(0, 2, 1, 3)
 
-    g_attn = g_ctx @ np.swapaxes(v, -1, -2)
-    g_v = np.swapaxes(attn, -1, -2) @ g_ctx
-    # softmax backward; rows of attn are exact zeros off-mask so the masked
-    # entries contribute nothing in neg_inf mode
-    g_logits = attn * (g_attn - np.sum(g_attn * attn, axis=-1, keepdims=True))
+    # the gradients of q and of [k|v] are written in the token-row layout of
+    # their forward GEMM, so each reaches its wide backward without a copy
+    g_q = np.empty((b * lq, hw))
+    g_kv = np.empty((b * lk, 2 * hw))
+    g_k, g_v = g_kv.reshape(b, lk, 2, h, e).transpose(2, 0, 3, 1, 4)
+    np.matmul(np.swapaxes(attn, -1, -2), g_ctx, out=g_v)
+    g_logits = g_ctx @ np.swapaxes(v, -1, -2)
+    # softmax backward attn * (g_attn - rowsum(g_attn * attn)) in place; the
+    # row sums equal rowsum(g_ctx * ctx) as ctx = attn @ v. Rows of attn are
+    # exact zeros off-mask, so masked entries add nothing in neg_inf mode.
+    row = (g_concat * concat).reshape(b, lq, h, e).sum(axis=-1)
+    g_logits -= row.transpose(0, 2, 1)[..., None]
+    g_logits *= attn
     if mode == "hadamard" and allowed is not None:
-        g_logits = g_logits * allowed
-    g_q = (g_logits @ k) * scale
-    g_k = (np.swapaxes(g_logits, -1, -2) @ q) * scale
+        g_logits *= allowed
+    np.matmul(g_logits, k, out=g_q.reshape(b, lq, h, e).transpose(0, 2, 1, 3))
+    g_q *= scale
+    np.matmul(np.swapaxes(g_logits, -1, -2), q, out=g_k)
+    g_k *= scale
 
-    grads = {"out_w": g_out_w, "out_b": g_out_b}
-    gx_q, grads["q_u"], gqv = _project_backward(g_q, x_q, weights["q_u"], weights.get("q_v"), q_hid)
-    gx_k, grads["k_u"], gkv = _project_backward(g_k, x_kv, weights["k_u"], weights.get("k_v"), k_hid)
-    gx_v, grads["v_u"], gvv = _project_backward(g_v, x_kv, weights["v_u"], weights.get("v_v"), v_hid)
-    if gqv is not None:
-        grads["q_v"], grads["k_v"], grads["v_v"] = gqv, gkv, gvv
-    return gx_q, gx_k + gx_v, grads
+    # wide projection backward: gx = G W^T and gW = X^T G, then each head's
+    # factors, gu = gW_h v_h^T and gv = u_h^T gW_h
+    gx_q = (g_q @ wide[:, :hw].T).reshape(x_q.shape)
+    gx_kv = (g_kv @ wide[:, hw:].T).reshape(x_kv.shape)
+    g_wide = np.empty((d, 3 * hw))
+    np.matmul(x_q.reshape(-1, d).T, g_q, out=g_wide[:, :hw])
+    np.matmul(x_kv.reshape(-1, d).T, g_kv, out=g_wide[:, hw:])
+    g_heads = g_wide.reshape(d, 3 * h, e).transpose(1, 0, 2)
+    g_factors = {"u": np.ascontiguousarray(g_heads)} if heads_v is None else {
+        "u": g_heads @ np.swapaxes(heads_v, -1, -2), "v": np.swapaxes(heads_u, -1, -2) @ g_heads}
+    for factor, g in g_factors.items():
+        for i, name in enumerate("qkv"):
+            grads[f"{name}_{factor}"] = g[i * h:(i + 1) * h]
+    return gx_q, gx_kv, grads
 
 
 def multi_head_attention(

@@ -209,9 +209,15 @@ def _check_manifest(manifest) -> None:
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_TAG:
         raise ValueError(f"not a corpus manifest (format {FORMAT_TAG!r} expected)")
     _check_fields(manifest, _MANIFEST_TYPES)
+    seen = set()
     for rec in manifest["trajectories"]:
         _check_fields(rec, _RECORD_TYPES)
         FaultMode.from_str(rec["mode"])
+        if rec["split"] not in ("train", "test"):
+            raise ValueError(f"split must be 'train' or 'test', got {rec['split']!r:.40}")
+        if rec["id"] in seen:
+            raise ValueError(f"trajectory id {rec['id']!r:.40} is listed twice")
+        seen.add(rec["id"])
     s, stats = len(manifest["channels"]), manifest["norm_stats"]
     for key, size in (("channel_mean", s), ("channel_std", s),
                       ("descriptor_mean", 2 * s), ("descriptor_std", 2 * s)):

@@ -8,70 +8,83 @@ and the upstream gradient.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.special import erf
+from scipy.special import ndtr
 
 LN_EPS = 1e-5
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """y = x @ w + b for x of shape (..., d_in)."""
-    return x @ w + b, (x, w)
+    """y = x @ w + b for x of shape (..., d_in), as one 2-D GEMM."""
+    x2 = x.reshape(-1, x.shape[-1])
+    y = x2 @ w
+    y += b
+    return y.reshape(*x.shape[:-1], w.shape[1]), (x2, w)
 
 
 def linear_backward(gy: np.ndarray, cache):
-    x, w = cache
-    gx = gy @ w.T
-    gw = x.reshape(-1, x.shape[-1]).T @ gy.reshape(-1, gy.shape[-1])
-    gb = gy.reshape(-1, gy.shape[-1]).sum(axis=0)
-    return gx, gw, gb
+    x2, w = cache
+    g2 = gy.reshape(-1, gy.shape[-1])
+    gx = (g2 @ w.T).reshape(*gy.shape[:-1], w.shape[0])
+    return gx, x2.T @ g2, g2.sum(axis=0)
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    """Normalize over the last axis, then apply elementwise gain and bias."""
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return xhat * gain + bias, (xhat, inv, gain)
+    """Normalize over the last axis (means as ``sum / d``, the ops of
+    ``ndarray.mean``), then apply elementwise gain and bias."""
+    d = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.square(xc).sum(axis=-1, keepdims=True) / d + LN_EPS)
+    xc *= inv  # xc is now xhat
+    y = xc * gain
+    y += bias
+    return y, (xc, inv, gain)
 
 
 def layer_norm_backward(gy: np.ndarray, cache):
     xhat, inv, gain = cache
     d = xhat.shape[-1]
-    ggain = (gy * xhat).reshape(-1, d).sum(axis=0)
+    tmp = gy * xhat
+    ggain = tmp.reshape(-1, d).sum(axis=0)
     gbias = gy.reshape(-1, d).sum(axis=0)
     gxhat = gy * gain
-    # standard layer-norm input gradient
-    gx = inv * (
-        gxhat
-        - gxhat.mean(axis=-1, keepdims=True)
-        - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-    )
-    return gx, ggain, gbias
+    # standard layer-norm input gradient:
+    # inv * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat))
+    proj = np.multiply(gxhat, xhat, out=tmp).sum(axis=-1, keepdims=True) / d
+    gxhat -= gxhat.sum(axis=-1, keepdims=True) / d
+    gxhat -= np.multiply(xhat, proj, out=tmp)
+    gxhat *= inv
+    return gxhat, ggain, gbias
 
 
 def gelu(x: np.ndarray):
-    """Exact (erf-based) GELU."""
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    """Exact GELU, ``x * Phi(x)`` with Phi the standard normal CDF."""
+    phi = ndtr(x)
     return x * phi, (x, phi)
 
 
 def gelu_backward(gy: np.ndarray, cache):
+    """gy * (Phi(x) + x * pdf(x)), one fresh array updated in place."""
     x, phi = cache
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return gy * (phi + x * pdf)
+    g = np.multiply(x, -0.5)
+    g *= x
+    np.exp(g, out=g)
+    g *= _INV_SQRT2PI
+    g *= x
+    g += phi
+    g *= gy
+    return g
 
 
 def dropout(x: np.ndarray, rate: float, rng: np.random.Generator):
     """Inverted dropout; identity when rate == 0."""
     if rate <= 0.0:
         return x, None
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+    keep = np.where(rng.random(x.shape) >= rate, 1.0 / (1.0 - rate), 0.0)
     return x * keep, keep
 
 
@@ -81,8 +94,9 @@ def dropout_backward(gy: np.ndarray, keep):
     return gy * keep
 
 
+@functools.lru_cache(maxsize=16)
 def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
-    """Fixed sin/cos positional table of shape (length, d_model)."""
+    """Fixed sin/cos positional table of shape (length, d_model), read-only."""
     if d_model % 2 != 0:
         raise ValueError("d_model must be even for sinusoidal encoding")
     pos = np.arange(length, dtype=np.float64)[:, None]
@@ -90,6 +104,7 @@ def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
     table = np.empty((length, d_model))
     table[:, 0::2] = np.sin(pos * freq)
     table[:, 1::2] = np.cos(pos * freq)
+    table.flags.writeable = False
     return table
 
 

@@ -18,6 +18,7 @@ activations rather than the whole network's.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
@@ -152,6 +153,7 @@ def param_count(cfg: SlatConfig) -> int:
 
 
 _EMBED_LIKE = ("decoder.query", "sensor_embed.ident")
+_ATTN_KEYS = ("q_u", "k_u", "v_u", "out_w", "out_b", "q_v", "k_v", "v_v")
 
 
 def init_params(cfg: SlatConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -173,18 +175,8 @@ def init_params(cfg: SlatConfig, rng: np.random.Generator) -> dict[str, np.ndarr
 
 
 def _attn_weights(params: dict, prefix: str) -> dict:
-    w = {
-        "q_u": params[f"{prefix}attn.q_u"],
-        "k_u": params[f"{prefix}attn.k_u"],
-        "v_u": params[f"{prefix}attn.v_u"],
-        "out_w": params[f"{prefix}attn.out_w"],
-        "out_b": params[f"{prefix}attn.out_b"],
-    }
-    if f"{prefix}attn.q_v" in params:
-        w["q_v"] = params[f"{prefix}attn.q_v"]
-        w["k_v"] = params[f"{prefix}attn.k_v"]
-        w["v_v"] = params[f"{prefix}attn.v_v"]
-    return w
+    return {key: params[f"{prefix}attn.{key}"] for key in _ATTN_KEYS
+            if f"{prefix}attn.{key}" in params}
 
 
 # -- embeddings ---------------------------------------------------------------
@@ -194,7 +186,7 @@ def _embed_time(params, cfg: SlatConfig, values, descriptors):
     tiled = np.broadcast_to(descriptors[:, None, :], (b, n, 2 * s))
     x_in = np.concatenate([values, tiled], axis=-1)
     tok, lin_cache = layers.linear(x_in, params["time_embed.w"], params["time_embed.b"])
-    tok = tok + layers.sinusoidal_encoding(n, cfg.d_model)
+    tok += layers.sinusoidal_encoding(n, cfg.d_model)
     return tok, lin_cache
 
 
@@ -204,7 +196,7 @@ def _embed_sensor(params, cfg: SlatConfig, values, descriptors):
     stats = np.stack([descriptors[:, :s], descriptors[:, s:]], axis=-1)  # (B, S, 2)
     x_in = np.concatenate([per_chan, stats], axis=-1)         # (B, S, n + 2)
     tok, lin_cache = layers.linear(x_in, params["sensor_embed.w"], params["sensor_embed.b"])
-    tok = tok + params["sensor_embed.ident"]
+    tok += params["sensor_embed.ident"]
     return tok, lin_cache
 
 
@@ -235,14 +227,14 @@ def _block_forward(x, mem, params, cfg: SlatConfig, prefix, mask, train, rng):
     h1, ln1c = layers.layer_norm(x, params[f"{prefix}ln1.g"], params[f"{prefix}ln1.b"])
     kv = h1 if mem is None else mem
     attn_out, mhac = mha_forward(h1, kv, _attn_weights(params, prefix), mask, cfg.mask_mode)
-    attn_out, drop1 = layers.dropout(attn_out, rate, rng)
-    x1 = x + attn_out
+    x1, drop1 = layers.dropout(attn_out, rate, rng)
+    x1 += x  # dropout's output is fresh and no cache holds it
     h2, ln2c = layers.layer_norm(x1, params[f"{prefix}ln2.g"], params[f"{prefix}ln2.b"])
     f1, lin1c = layers.linear(h2, params[f"{prefix}ffn.w1"], params[f"{prefix}ffn.b1"])
     g1, geluc = layers.gelu(f1)
     f2, lin2c = layers.linear(g1, params[f"{prefix}ffn.w2"], params[f"{prefix}ffn.b2"])
-    f2, drop2 = layers.dropout(f2, rate, rng)
-    x2 = x1 + f2
+    x2, drop2 = layers.dropout(f2, rate, rng)
+    x2 += x1
     return x2, (ln1c, mhac, drop1, ln2c, lin1c, geluc, lin2c, drop2, mem is not None)
 
 
@@ -260,20 +252,18 @@ def _block_backward(gy, cache, prefix, grads):
     g_x1, gg2, gb_ln2 = layers.layer_norm_backward(g_h2, ln2c)
     grads[f"{prefix}ln2.g"] = gg2
     grads[f"{prefix}ln2.b"] = gb_ln2
-    g_x1 = g_x1 + gy
+    g_x1 += gy
 
     g_attn = layers.dropout_backward(g_x1, drop1)
     g_h1_q, g_kv, attn_grads = mha_backward(g_attn, mhac)
     for key, val in attn_grads.items():
         grads[f"{prefix}attn.{key}"] = val
-    if is_cross:
-        g_h1, g_mem = g_h1_q, g_kv
-    else:
-        g_h1, g_mem = g_h1_q + g_kv, None
+    g_mem = g_kv if is_cross else None
+    g_h1 = g_h1_q if is_cross else np.add(g_h1_q, g_kv, out=g_h1_q)
     g_x, gg1, gb_ln1 = layers.layer_norm_backward(g_h1, ln1c)
     grads[f"{prefix}ln1.g"] = gg1
     grads[f"{prefix}ln1.b"] = gb_ln1
-    return g_x + g_x1, g_mem
+    return np.add(g_x, g_x1, out=g_x), g_mem
 
 
 def _stack_forward(x, mem, params, cfg, name, n_blocks, mask, train, rng):
@@ -296,13 +286,15 @@ def _stack_backward(gy, name, cache, grads):
     for i in reversed(range(len(caches))):
         gy, gm = _block_backward(gy, caches[i], f"{name}.{i}.", grads)
         if gm is not None:
-            gmem = gm if gmem is None else gmem + gm
+            gmem = gm if gmem is None else np.add(gmem, gm, out=gmem)
     return gy, gmem
 
 
 # -- full network -------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
 def masks_for(cfg: SlatConfig) -> tuple[SparseMask, SparseMask]:
+    """(time mask, sensor mask) of a config; cached, as both are read-only."""
     time_mask = build_mask(cfg.n_stw, cfg.band_width, range(min(cfg.n_global, cfg.n_stw)))
     sensor_mask = build_mask(cfg.n_channels, cfg.band_width,
                              range(min(cfg.n_global, cfg.n_channels)))

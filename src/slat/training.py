@@ -100,14 +100,19 @@ def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> 
     t = state.step
     c1 = 1.0 - cfg.beta1 ** t
     c2 = 1.0 - cfg.beta2 ** t
+    # two temporaries per tensor; g is never written, since callers may keep it
     for name, g in grads.items():
-        m = state.m[name]
-        v = state.v[name]
+        m, v = state.m[name], state.v[name]
+        tmp = np.multiply(g, 1.0 - cfg.beta1)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += tmp
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        params[name] -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        v += np.multiply(np.multiply(g, g, out=tmp), 1.0 - cfg.beta2, out=tmp)
+        # lr * (m / c1) / (sqrt(v / c2) + eps)
+        step = np.multiply(np.divide(m, c1, out=tmp), cfg.learning_rate, out=tmp)
+        denom = np.divide(v, c2)
+        step /= np.add(np.sqrt(denom, out=denom), cfg.eps, out=denom)
+        params[name] -= step
 
 
 def split_by_trajectory(windows: Windows, val_fraction: float,

@@ -7,6 +7,7 @@ code with the package) so a bug in the library cannot hide in its own test.
 import math
 
 import numpy as np
+from scipy.special import erf
 
 
 def naive_window_starts(n_steps, n_stw, stride):
@@ -84,3 +85,48 @@ def numeric_gradient(f, x, h=1e-5):
         flat[i] = orig
         gflat[i] = (fp - fm) / (2 * h)
     return grad
+
+
+# Textbook one-line forms of the layer kernels. The library computes the same
+# operations in the same order with fewer temporaries, so results must be
+# bit-identical (GELU itself excepted: the library uses the normal CDF).
+
+def softmax_reference(logits, allowed, mode):
+    if allowed is not None:
+        logits = np.where(allowed, logits, -np.inf) if mode == "neg_inf" else logits * allowed
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def layer_norm_reference(x, gain, bias, eps):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    return xc * (1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)) * gain + bias
+
+
+def layer_norm_backward_reference(gy, xhat, inv, gain):
+    gxhat = gy * gain
+    d = xhat.shape[-1]
+    gx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True)
+                - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+    return gx, (gy * xhat).reshape(-1, d).sum(axis=0), gy.reshape(-1, d).sum(axis=0)
+
+
+def gelu_erf_reference(x):
+    return x * (0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
+
+
+def gelu_backward_reference(gy, x, phi):
+    return gy * (phi + x * (np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))))
+
+
+def dropout_reference(x, rate, rng):
+    keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
+    return x * keep, keep
+
+
+def adam_reference(p, g, m, v, t, lr, beta1, beta2, eps):
+    """One bias-corrected Adam update; returns the new (p, m, v)."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * (g * g)
+    step = lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+    return p - step, m, v

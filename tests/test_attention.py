@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (dense_attention_reference, naive_band_global_grid,
-                     numeric_gradient)
+                     numeric_gradient, softmax_reference)
 from slat.attention import (LowRankProjection, attention_flops, build_mask,
                             dense_attention_flops, lowrank_project,
                             masked_attention, masked_softmax, mha_backward,
@@ -95,6 +95,22 @@ class TestMaskedSoftmax:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             masked_softmax(np.zeros((2, 2)), None, mode="zero_fill")
+
+    @given(lead=st.lists(st.integers(1, 3), max_size=2), length=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["neg_inf", "hadamard"]),
+           masked=st.booleans())
+    @settings(max_examples=60)
+    def test_bit_identical_to_textbook_form(self, lead, length, seed, mode, masked):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(0, 4, size=(*lead, length, length))
+        allowed = None
+        if masked:
+            allowed = rng.random((length, length)) < 0.5
+            np.fill_diagonal(allowed, True)
+        before = logits.copy()
+        got = masked_softmax(logits, allowed, mode)
+        assert np.array_equal(got, softmax_reference(logits, allowed, mode))
+        assert np.array_equal(logits, before)
 
 
 class TestMaskedAttention:
@@ -187,6 +203,13 @@ def _random_mha_weights(rng, d, h, e, r=None):
     return w
 
 
+# self-attention shaped (Lq = Lk, banded mask) and decoder shaped (one query
+# over 9 keys, no mask); the latter checks that the backward splits the input
+# gradient between x_q and x_kv
+MHA_GRAD_CASES = [(mode, rank, lq, lk) for lq, lk in ((5, 5), (1, 9))
+                  for mode in ("neg_inf", "hadamard") for rank in (None, 2)]
+
+
 class TestMultiHead:
     def test_wrapper_matches_batched_form(self):
         rng = np.random.default_rng(3)
@@ -222,16 +245,17 @@ class TestMultiHead:
             multi_head_attention(rng.normal(size=(3, 6)), heads,
                                  rng.normal(size=(6, 6)), None)
 
-    @pytest.mark.parametrize("rank", [None, 2])
-    @pytest.mark.parametrize("mode", ["neg_inf", "hadamard"])
-    def test_gradients_match_numeric(self, rank, mode):
+    @pytest.mark.parametrize("mode, rank, lq, lk", MHA_GRAD_CASES, ids=[
+        f"{mode}-{rank}" + ("" if lq == lk else "-decoder_shaped")
+        for mode, rank, lq, lk in MHA_GRAD_CASES])
+    def test_gradients_match_numeric(self, mode, rank, lq, lk):
         rng = np.random.default_rng(5)
-        b, L, d, h, e = 2, 5, 6, 2, 3
+        b, d, h, e = 2, 6, 2, 3
         weights = _random_mha_weights(rng, d, h, e, rank)
-        x_q = rng.normal(size=(b, L, d))
-        x_kv = rng.normal(size=(b, L, d))
-        mask = build_mask(L, 1, [0])
-        direction = rng.normal(size=(b, L, d))
+        x_q = rng.normal(size=(b, lq, d))
+        x_kv = rng.normal(size=(b, lk, d))
+        mask = build_mask(lq, 1, [0]) if lq == lk else None
+        direction = rng.normal(size=(b, lq, d))
 
         out, cache = mha_forward(x_q, x_kv, weights, mask, mode)
         gx_q, gx_kv, grads = mha_backward(direction, cache)

@@ -87,6 +87,11 @@ CORPUS_CORRUPTIONS = {
         for line in text.splitlines())),
     "three_channel_means": _with_stat("channel_mean", lambda v: v[:3]),
     "zero_channel_std": _with_stat("channel_std", lambda v: [0.0] * len(v)),
+    "unknown_split": _edit_manifest(lambda m: {**m, "trajectories": [
+        {**m["trajectories"][0], "split": "tset"}, *m["trajectories"][1:]]}),
+    "duplicate_id": _edit_manifest(lambda m: {**m, "trajectories": [
+        m["trajectories"][0], {**m["trajectories"][1], "id": m["trajectories"][0]["id"]},
+        *m["trajectories"][2:]]}),
 }
 
 
@@ -343,16 +348,53 @@ class TestExitCodes:
         assert rc == 2
 
 
+def _readme_walkthrough() -> list:
+    """The lines of the README's command-line walkthrough, with backslash
+    continuations joined and comments dropped."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.strip() for line in block.replace("\\\n", " ").splitlines()
+            if line.strip() and not line.strip().startswith("#")]
+
+
 def test_readme_commands_parse():
     """Every ``slat ...`` line of the README's command-line walkthrough, with
     backslash continuations joined, is accepted by the argument parser."""
-    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    commands = [line.strip() for line in block.replace("\\\n", " ").splitlines()
-                if line.strip().startswith("slat ")]
+    commands = [line for line in _readme_walkthrough() if line.startswith("slat ")]
     assert len(commands) >= 9
     for command in commands:
         try:
             _build_parser().parse_args(shlex.split(command)[1:])
         except SystemExit as exc:
             raise AssertionError(f"README command does not parse: {command}") from exc
+
+
+def test_readme_walkthrough_runs(tmp_path, monkeypatch):
+    """Every line of the README's walkthrough runs in order and exits 0, with
+    only these changes for speed: ``generate`` gets ``--trajectories 2`` and
+    each ``train`` gets ``--epochs 1`` and the README's own small.json."""
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_walkthrough()
+    echo = next(line for line in lines if line.startswith("echo "))
+    _, config, redirect, config_path = shlex.split(echo)
+    assert redirect == ">"
+    Path(config_path).write_text(config)
+    ran = 0
+    for line in lines:
+        if line == echo:
+            continue
+        argv = shlex.split(line)
+        assert argv[0] == "slat", line
+        argv = argv[1:]
+        if argv[0] == "generate":
+            argv += ["--trajectories", "2"]
+        if argv[0] == "train":
+            if "--epochs" in argv:
+                argv[argv.index("--epochs") + 1] = "1"
+            else:
+                argv += ["--epochs", "1"]
+            if "--model-config" not in argv:
+                argv += ["--model-config", config_path]
+        assert main(argv) == 0, line
+        ran += 1
+    assert ran >= 9

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from oracles import adam_reference
 from slat.model import SlatConfig, init_params
 from slat.training import (AdamState, TrainConfig, TrainingDiverged,
                            adam_step, clip_gradients, mse_loss,
@@ -76,6 +77,25 @@ class TestAdam:
         with pytest.raises(FloatingPointError, match="deep.tensor"):
             adam_step(params, {"deep.tensor": np.array([1.0, np.nan])},
                       state, TrainConfig())
+
+    def test_three_steps_bit_identical_to_textbook_form(self):
+        rng = np.random.default_rng(3)
+        params = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=5)}
+        want = {k: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for k, p in params.items()}
+        state = AdamState.init(params)
+        cfg = TrainConfig(learning_rate=0.01)
+        for t in (1, 2, 3):
+            grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+            kept = {k: g.copy() for k, g in grads.items()}
+            adam_step(params, grads, state, cfg)
+            for k, g in grads.items():
+                assert np.array_equal(g, kept[k])  # gradients are never written
+                want[k] = adam_reference(*want[k][:1], g, *want[k][1:], t, cfg.learning_rate,
+                                         cfg.beta1, cfg.beta2, cfg.eps)
+        for k in params:
+            assert np.array_equal(params[k], want[k][0])
+            assert np.array_equal(state.m[k], want[k][1])
+            assert np.array_equal(state.v[k], want[k][2])
 
     def test_state_tracks_step_count(self):
         params = {"w": np.zeros(1)}
