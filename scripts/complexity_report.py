@@ -8,7 +8,7 @@ over a range of window lengths.
 
 import argparse
 
-from slat.attention import attention_flops, build_mask, dense_attention_flops
+from slat.attention import build_mask
 from slat.model import SlatConfig, param_count
 
 
@@ -37,14 +37,16 @@ def main():
           f"{cfg.n_global} global tokens, head dim {e}")
     print(f"{'tokens':>8} {'sparse':>12} {'dense':>12} {'ratio':>7}")
     for length in (10, 30, 60, 120, 240, 480):
-        s = attention_flops(length, cfg.band_width, cfg.n_global, e)
-        f = dense_attention_flops(length, e)
+        # global tokens are the first n_global positions, as in the model
+        s = int(build_mask(length, cfg.band_width, range(cfg.n_global)).sum()) * e
+        f = length * length * e
         print(f"{length:>8} {s:>12,} {f:>12,} {s / f:>7.2%}")
     print()
 
     mask = build_mask(12, cfg.band_width, range(cfg.n_global))
     print("mask pattern at 12 tokens:")
-    print(mask.to_grid())
+    for row in mask:
+        print("".join("1" if allowed else "0" for allowed in row))
 
 
 if __name__ == "__main__":

@@ -1,16 +1,16 @@
 """Structured sparse attention with low-rank query/key/value projections.
 
-The attention pattern is a binary mask combining a diagonal band (each token
-sees neighbours within ``band_width``) with a set of global tokens that attend
-to and are attended by everything. Q/K/V projection weights are factored as
-``W = U @ V`` with a small inner rank, which cuts the parameter count of each
-projection from ``d_model * d_head`` to ``r * (d_model + d_head)``.
+The attention pattern is a read-only boolean mask combining a diagonal band
+(each token sees neighbours within ``band_width``) with a set of global
+tokens that attend to and are attended by everything. Q/K/V projection
+weights are factored as ``W = U @ V`` with a small inner rank, which cuts the
+parameter count of each projection from ``d_model * d_head`` to
+``r * (d_model + d_head)``.
 
-One core serves every entry point: each head's factors are merged into one
-weight ``u @ v`` (the LoRA merge; the stored factors are unchanged), so a
-projection is one GEMM, and :func:`_attend` computes scores, masked softmax
-and context. The reference API and the model's cached :func:`mha_forward` /
-:func:`mha_backward` are views over it.
+:func:`mha_forward` and :func:`mha_backward` are the only entry points. Each
+call merges every head's factors into one weight ``u @ v`` (the LoRA merge;
+the stored factors are unchanged), so a projection is one GEMM, and
+:func:`_attend` computes scores, masked softmax and context.
 
 Masked logits are dropped to -inf before the softmax by default, so masked
 weights are exact zeros. The alternative ``"hadamard"`` mode, selected by
@@ -20,34 +20,16 @@ leaving masked entries at logit 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 MASK_MODES = ("neg_inf", "hadamard")
 
 
-@dataclass(frozen=True)
-class SparseMask:
-    """Binary band+global attention connectivity over a token sequence."""
-
-    length: int
-    band_width: int
-    global_tokens: frozenset[int]
-    dense: np.ndarray = field(repr=False)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.dense.sum())
-
-    def to_grid(self) -> str:
-        """Render as rows of 0/1 characters for debugging."""
-        return "\n".join("".join("1" if v else "0" for v in row) for row in self.dense)
-
-
-def build_mask(length: int, band_width: int, global_tokens: Iterable[int] = ()) -> SparseMask:
-    """Band of half-width ``band_width`` plus symmetric global rows/columns."""
+def build_mask(length: int, band_width: int, global_tokens: Iterable[int] = ()) -> np.ndarray:
+    """Read-only (length, length) bool array: a band of half-width
+    ``band_width`` plus symmetric global rows/columns."""
     if length < 1:
         raise ValueError(f"mask length must be >= 1, got {length}")
     if band_width < 0:
@@ -63,37 +45,7 @@ def build_mask(length: int, band_width: int, global_tokens: Iterable[int] = ()) 
         dense[g, :] = True
         dense[:, g] = True
     dense.flags.writeable = False
-    return SparseMask(length=length, band_width=band_width, global_tokens=globals_, dense=dense)
-
-
-@dataclass(frozen=True)
-class LowRankProjection:
-    """Projection weight factored as ``u @ v`` with inner rank u.shape[1]."""
-
-    u: np.ndarray  # (d_model, r)
-    v: np.ndarray  # (r, d_head)
-
-    def __post_init__(self):
-        if self.u.ndim != 2 or self.v.ndim != 2 or self.u.shape[1] != self.v.shape[0]:
-            raise ValueError(f"incompatible factor shapes {self.u.shape} x {self.v.shape}")
-
-    @property
-    def n_params(self) -> int:
-        return self.u.size + self.v.size
-
-
-def lowrank_project(x: np.ndarray, proj: LowRankProjection) -> np.ndarray:
-    """``x @ (u @ v)``: the factors are merged into one weight, as in
-    :func:`mha_forward`."""
-    if x.shape[-1] != proj.u.shape[0]:
-        raise ValueError(f"input feature dim {x.shape[-1]} != projection dim {proj.u.shape[0]}")
-    return x @ (proj.u @ proj.v)
-
-
-@dataclass(frozen=True)
-class AttentionOutput:
-    values: np.ndarray   # (..., L, d_head)
-    weights: np.ndarray  # (..., L, L), row-stochastic, exact zeros off-mask
+    return dense
 
 
 def masked_softmax(logits: np.ndarray, allowed: np.ndarray | None, mode: str = "neg_inf") -> np.ndarray:
@@ -117,30 +69,6 @@ def masked_softmax(logits: np.ndarray, allowed: np.ndarray | None, mode: str = "
     return out
 
 
-def masked_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    mask: SparseMask | None,
-    scale: float | None = None,
-    mode: str = "neg_inf",
-) -> AttentionOutput:
-    """Scaled dot-product attention restricted to the mask pattern.
-
-    Accepts arbitrary leading axes: q/k/v are (..., L, d_head).
-    """
-    if not all(np.all(np.isfinite(a)) for a in (q, k, v)):
-        raise ValueError("non-finite values in attention inputs")
-    if q.shape != k.shape or k.shape != v.shape:
-        raise ValueError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
-    if mask is not None and mask.length != q.shape[-2]:
-        raise ValueError(f"mask length {mask.length} != token count {q.shape[-2]}")
-    if scale is None:
-        scale = 1.0 / np.sqrt(q.shape[-1])
-    values, weights = _attend(q, k, v, None if mask is None else mask.dense, mode, scale)
-    return AttentionOutput(values=values, weights=weights)
-
-
 def _attend(q, k, v, allowed, mode, scale):
     """Scaled scores, masked softmax and context over (..., L, d_head) inputs.
     Returns (context, attention weights)."""
@@ -151,7 +79,7 @@ def _attend(q, k, v, allowed, mode, scale):
 
 
 # ---------------------------------------------------------------------------
-# Cached multi-head attention used by the model. Heads are stacked on axis 0
+# Multi-head attention with a backward cache. Heads are stacked on axis 0
 # of the factor arrays: u (H, d_in, r), v (H, r, d_head); a dense projection
 # stores u (H, d_in, d_head) alone. Each call merges the factors into one wide
 # weight (:func:`_wide_weight`): Q is one GEMM over the query tokens and [K|V]
@@ -179,13 +107,14 @@ def mha_forward(
     x_q: np.ndarray,
     x_kv: np.ndarray,
     weights: dict,
-    mask: SparseMask | None,
+    allowed: np.ndarray | None,
     mode: str = "neg_inf",
 ):
     """Multi-head attention of x_q (B, Lq, d_model) over x_kv (B, Lk, d_model).
 
     ``weights`` holds q_u/k_u/v_u (and the matching *_v factors when
-    low-rank) plus out_w/out_b. Returns (output (B, Lq, d_model), cache).
+    low-rank) plus out_w/out_b; ``allowed`` is a (Lq, Lk) bool mask or None.
+    Returns (output (B, Lq, d_model), cache).
     """
     b, lq, d = x_q.shape
     h = weights["q_u"].shape[0]
@@ -195,7 +124,6 @@ def mha_forward(
     q = (x_q.reshape(-1, d) @ wide[:, :hw]).reshape(b, lq, h, e).transpose(0, 2, 1, 3)
     k, v = (x_kv.reshape(-1, d) @ wide[:, hw:]).reshape(b, -1, 2, h, e).transpose(2, 0, 3, 1, 4)
     scale = 1.0 / np.sqrt(e)
-    allowed = None if mask is None else mask.dense
     ctx, attn = _attend(q, k, v, allowed, mode, scale)
     concat = ctx.transpose(0, 2, 1, 3).reshape(b * lq, hw)
     out = concat @ weights["out_w"]
@@ -252,37 +180,3 @@ def mha_backward(gy: np.ndarray, cache):
             grads[f"{name}_{factor}"] = g[i * h:(i + 1) * h]
     return gx_q, gx_kv, grads
 
-
-def multi_head_attention(
-    x: np.ndarray,
-    heads: Sequence[tuple[LowRankProjection, LowRankProjection, LowRankProjection]],
-    w_o: np.ndarray,
-    mask: SparseMask | None,
-    mode: str = "neg_inf",
-) -> np.ndarray:
-    """Self-attention over x (L, d_model) with per-head (Q, K, V) projections."""
-    d_model = x.shape[-1]
-    d_head, rem = divmod(d_model, len(heads))
-    if rem != 0:
-        raise ValueError(f"d_model {d_model} not divisible by {len(heads)} heads")
-    bad = [p.v.shape[1] for trip in heads for p in trip if p.v.shape[1] != d_head]
-    if bad:
-        raise ValueError(f"head dim {bad[0]} != d_model/heads = {d_head}")
-    weights = {f"{which}_{factor}": np.stack([getattr(t[i], factor) for t in heads])
-               for i, which in enumerate("qkv") for factor in "uv"}
-    weights.update(out_w=w_o, out_b=np.zeros(d_model, dtype=x.dtype))
-    out, _ = mha_forward(x[None], x[None], weights, mask, mode)
-    return out[0]
-
-
-def attention_flops(length: int, band_width: int, n_global: int, d_head: int) -> int:
-    """Multiply-adds spent on attention scores at allowed positions only.
-
-    Global tokens are taken as the first ``n_global`` positions.
-    """
-    mask = build_mask(length, band_width, range(n_global))
-    return mask.nnz * d_head
-
-
-def dense_attention_flops(length: int, d_head: int) -> int:
-    return length * length * d_head

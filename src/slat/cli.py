@@ -23,7 +23,7 @@ from .evaluation import (ConstantMeanBaseline, LinearWindowBaseline,
 from .gradcheck import check_model_gradients
 from .model import SlatConfig
 from .training import TrainConfig, train, write_history
-from .windowing import LabelConfig, build_dataset
+from .windowing import build_dataset
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,7 +184,9 @@ def _cmd_evaluate(args) -> int:
 def _cmd_rtf(args) -> int:
     corpus = corpus_mod.load_corpus(args.corpus)
     predict = _load_predictor(args.checkpoint, corpus)
-    tid = args.trajectory or corpus.ids("test")[0]
+    tid = args.trajectory or next(iter(corpus.ids("test")), None)
+    if tid is None:
+        raise ValueError("corpus has no test trajectory to default to; pass --trajectory")
     if tid not in corpus.trajectories:
         raise ValueError(f"unknown trajectory id {tid!r}; "
                          f"have {', '.join(corpus.ids())}")

@@ -51,7 +51,12 @@ def _read_trajectory_csv(path: Path, rec: dict, n_channels: int) -> Trajectory:
         header = next(reader, [])
         if len(header) != n_channels + 2 or header[0] != "t" or header[-1] != "rul":
             raise ValueError(f"header {header} is not t, ch_0..ch_{n_channels - 1}, rul")
-        rows = [[float(x) for x in row[1:-1]] for row in reader]
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"line {reader.line_num} has {len(row)} fields, "
+                                 f"the header {len(header)}")
+            rows.append([float(x) for x in row[1:-1]])
     return Trajectory(traj_id=rec["id"], mode=FaultMode.from_str(rec["mode"]),
                       channels=np.asarray(rows, dtype=np.float64),
                       failure_index=rec["failure_index"])

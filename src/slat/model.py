@@ -21,12 +21,12 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import layers
-from .attention import SparseMask, build_mask, mha_backward, mha_forward
+from .attention import MASK_MODES, build_mask, mha_backward, mha_forward
 
 
 # Accepted Python types per annotation; bools are refused even where int is.
@@ -70,7 +70,7 @@ class SlatConfig:
             raise ValueError(f"dropout {self.dropout} outside [0, 1)")
         if self.rul_cap <= 0 or not math.isfinite(self.rul_cap):
             raise ValueError(f"rul_cap must be positive and finite, got {self.rul_cap}")
-        if self.mask_mode not in ("neg_inf", "hadamard"):
+        if self.mask_mode not in MASK_MODES:
             raise ValueError(f"unknown mask_mode {self.mask_mode!r}")
 
     @property
@@ -200,24 +200,6 @@ def _embed_sensor(params, cfg: SlatConfig, values, descriptors):
     return tok, lin_cache
 
 
-def embed_time_tokens(params, cfg: SlatConfig, values, descriptors) -> np.ndarray:
-    """Per-time-step tokens (B, n_stw, d_model); descriptors broadcast to all steps."""
-    return _embed_time(params, cfg, values, descriptors)[0]
-
-
-def embed_sensor_tokens(params, cfg: SlatConfig, values, descriptors) -> np.ndarray:
-    """Per-channel tokens (B, S, d_model) with learned channel identities."""
-    return _embed_sensor(params, cfg, values, descriptors)[0]
-
-
-def fuse(time_out: np.ndarray, sensor_out: np.ndarray) -> np.ndarray:
-    """Concatenate the two encoder outputs along the token axis, time first."""
-    if time_out.shape[-1] != sensor_out.shape[-1]:
-        raise ValueError(
-            f"d_model mismatch: {time_out.shape[-1]} vs {sensor_out.shape[-1]}")
-    return np.concatenate([time_out, sensor_out], axis=-2)
-
-
 # -- transformer blocks -------------------------------------------------------
 
 def _block_forward(x, mem, params, cfg: SlatConfig, prefix, mask, train, rng):
@@ -293,8 +275,8 @@ def _stack_backward(gy, name, cache, grads):
 # -- full network -------------------------------------------------------------
 
 @functools.lru_cache(maxsize=16)
-def masks_for(cfg: SlatConfig) -> tuple[SparseMask, SparseMask]:
-    """(time mask, sensor mask) of a config; cached, as both are read-only."""
+def masks_for(cfg: SlatConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(time mask, sensor mask) of a config as read-only bool arrays; cached."""
     time_mask = build_mask(cfg.n_stw, cfg.band_width, range(min(cfg.n_global, cfg.n_stw)))
     sensor_mask = build_mask(cfg.n_channels, cfg.band_width,
                              range(min(cfg.n_global, cfg.n_channels)))
@@ -328,8 +310,9 @@ def forward(params, cfg: SlatConfig, values, descriptors, *, train=False, rng=No
     s_out, s_enc_cache = _stack_forward(
         s_tok, None, params, cfg, "sensor_enc", cfg.sensor_blocks, sensor_mask, train, rng)
     q = np.broadcast_to(params["decoder.query"], (values.shape[0], 1, cfg.d_model))
-    q, dec_cache = _stack_forward(q, fuse(t_out, s_out), params, cfg, "decoder",
-                                  cfg.decoder_blocks, None, train, rng)
+    # the decoder attends to both encoders' tokens, time tokens first
+    q, dec_cache = _stack_forward(q, np.concatenate([t_out, s_out], axis=-2), params, cfg,
+                                  "decoder", cfg.decoder_blocks, None, train, rng)
     out, head_cache = layers.linear(q, params["head.w"], params["head.b"])
     cache = (t_emb_cache, s_emb_cache, t_enc_cache, s_enc_cache, dec_cache, head_cache)
     return out[:, 0, 0], cache if train else None

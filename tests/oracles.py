@@ -130,3 +130,15 @@ def adam_reference(p, g, m, v, t, lr, beta1, beta2, eps):
     v = beta2 * v + (1.0 - beta2) * (g * g)
     step = lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
     return p - step, m, v
+
+
+def single_head_weights(mats):
+    """``mha_forward`` weights for one head whose q, k and v projections are
+    the (d_model, d_head) matrices ``mats``, stored as the factors ``m @ I``,
+    with an identity output projection and a zero bias, so the forward
+    returns the attention context itself."""
+    eye = np.eye(mats[0].shape[1])
+    weights = {"out_w": eye, "out_b": np.zeros(len(eye))}
+    for name, m in zip("qkv", mats):
+        weights[f"{name}_u"], weights[f"{name}_v"] = m[None], eye[None]
+    return weights

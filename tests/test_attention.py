@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (dense_attention_reference, naive_band_global_grid,
-                     numeric_gradient, softmax_reference)
-from slat.attention import (LowRankProjection, attention_flops, build_mask,
-                            dense_attention_flops, lowrank_project,
-                            masked_attention, masked_softmax, mha_backward,
-                            mha_forward, multi_head_attention)
+                     numeric_gradient, single_head_weights, softmax_reference)
+from slat.attention import build_mask, masked_softmax, mha_backward, mha_forward
+from slat.model import SlatConfig, param_shapes
+
+# positions in the mha_forward cache of the per-head q, k, v and the
+# attention weights, each (B, H, L, ...)
+Q, K, V, ATTN = 5, 6, 7, 8
 
 
 class TestMask:
@@ -24,12 +26,8 @@ class TestMask:
                              for row in expected.split("\n")])
         expected[0, :] = True
         expected[:, 0] = True
-        np.testing.assert_array_equal(mask.dense, expected)
-        assert mask.nnz == 19
-
-    def test_grid_rendering(self):
-        mask = build_mask(3, 0, [])
-        assert mask.to_grid() == "100\n010\n001"
+        np.testing.assert_array_equal(mask, expected)
+        assert int(mask.sum()) == 19
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -41,8 +39,9 @@ class TestMask:
 
     def test_dense_array_is_read_only(self):
         mask = build_mask(4, 1)
+        assert mask.dtype == bool and mask.shape == (4, 4)
         with pytest.raises(ValueError):
-            mask.dense[0, 0] = False
+            mask[0, 0] = False
 
     @given(length=st.integers(1, 40), band=st.integers(0, 12), data=st.data())
     @settings(max_examples=60)
@@ -50,19 +49,19 @@ class TestMask:
         globals_ = data.draw(st.sets(st.integers(0, length - 1), max_size=4))
         mask = build_mask(length, band, globals_)
         np.testing.assert_array_equal(
-            mask.dense, naive_band_global_grid(length, band, globals_))
+            mask, naive_band_global_grid(length, band, globals_))
 
     @given(length=st.integers(1, 30), band=st.integers(0, 8), data=st.data())
     @settings(max_examples=40)
     def test_symmetric_with_full_diagonal(self, length, band, data):
         globals_ = data.draw(st.sets(st.integers(0, length - 1), max_size=3))
         mask = build_mask(length, band, globals_)
-        np.testing.assert_array_equal(mask.dense, mask.dense.T)
-        assert np.all(np.diag(mask.dense))
+        np.testing.assert_array_equal(mask, mask.T)
+        assert np.all(np.diag(mask))
 
     def test_wide_band_is_fully_dense(self):
         mask = build_mask(6, 5)
-        assert mask.nnz == 36
+        assert int(mask.sum()) == 36
 
 
 class TestMaskedSoftmax:
@@ -70,8 +69,8 @@ class TestMaskedSoftmax:
         rng = np.random.default_rng(0)
         mask = build_mask(7, 1, [2])
         logits = rng.normal(0, 3, size=(4, 7, 7))
-        w = masked_softmax(logits, mask.dense)
-        assert np.all(w[:, ~mask.dense] == 0.0)
+        w = masked_softmax(logits, mask)
+        assert np.all(w[:, ~mask] == 0.0)
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(w >= 0)
 
@@ -113,80 +112,6 @@ class TestMaskedSoftmax:
         assert np.array_equal(logits, before)
 
 
-class TestMaskedAttention:
-    def test_recovers_dense_attention(self):
-        # band covering everything and no globals must match the unmasked oracle
-        rng = np.random.default_rng(7)
-        L, d = 6, 4
-        q, k, v = (rng.normal(size=(L, d)) for _ in range(3))
-        mask = build_mask(L, L - 1)
-        got = masked_attention(q, k, v, mask)
-        want_out, want_w = dense_attention_reference(q, k, v)
-        np.testing.assert_allclose(got.values, want_out, atol=1e-9)
-        np.testing.assert_allclose(got.weights, want_w, atol=1e-9)
-
-    def test_batched_leading_axes(self):
-        rng = np.random.default_rng(8)
-        q, k, v = (rng.normal(size=(2, 3, 5, 4)) for _ in range(3))
-        mask = build_mask(5, 1)
-        got = masked_attention(q, k, v, mask)
-        single = masked_attention(q[1, 2], k[1, 2], v[1, 2], mask)
-        np.testing.assert_allclose(got.values[1, 2], single.values, atol=1e-12)
-
-    def test_fully_masked_inputs_rejected(self):
-        q = np.full((3, 2), np.nan)
-        with pytest.raises(ValueError):
-            masked_attention(q, q, q, None)
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=(4, 2))
-        with pytest.raises(ValueError):
-            masked_attention(a, a[:3], a, None)
-        with pytest.raises(ValueError):
-            masked_attention(a, a, a, build_mask(5, 1))
-
-    @given(seed=st.integers(0, 10**6), band=st.integers(0, 4))
-    @settings(max_examples=25)
-    def test_rows_stochastic_under_any_mask(self, seed, band):
-        rng = np.random.default_rng(seed)
-        q, k, v = (rng.normal(size=(6, 3)) for _ in range(3))
-        out = masked_attention(q, k, v, build_mask(6, band, [1]))
-        np.testing.assert_allclose(out.weights.sum(axis=-1), 1.0, atol=1e-12)
-
-
-class TestLowRank:
-    def test_parameter_economy_at_reference_dims(self):
-        # d_model 64, head dim 8: rank-4 factors store 288 vs 512 dense
-        rng = np.random.default_rng(0)
-        proj = LowRankProjection(u=rng.normal(size=(64, 4)),
-                                 v=rng.normal(size=(4, 8)))
-        assert proj.n_params == 288
-        assert 64 * 8 == 512
-        assert proj.n_params < 512
-
-    def test_projection_equals_composed_matrix(self):
-        rng = np.random.default_rng(1)
-        proj = LowRankProjection(u=rng.normal(size=(10, 3)),
-                                 v=rng.normal(size=(3, 5)))
-        x = rng.normal(size=(7, 10))
-        np.testing.assert_allclose(lowrank_project(x, proj), x @ (proj.u @ proj.v),
-                                   atol=1e-12)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            LowRankProjection(u=np.zeros((4, 2)), v=np.zeros((3, 5)))
-        proj = LowRankProjection(u=np.zeros((4, 2)), v=np.zeros((2, 5)))
-        with pytest.raises(ValueError):
-            lowrank_project(np.zeros((3, 6)), proj)
-
-    def test_rank_bounds_output_rank(self):
-        rng = np.random.default_rng(2)
-        proj = LowRankProjection(u=rng.normal(size=(12, 2)),
-                                 v=rng.normal(size=(2, 8)))
-        x = rng.normal(size=(20, 12))
-        y = lowrank_project(x, proj)
-        assert np.linalg.matrix_rank(y) <= 2
-
-
 def _random_mha_weights(rng, d, h, e, r=None):
     if r is None:
         return {
@@ -210,40 +135,89 @@ MHA_GRAD_CASES = [(mode, rank, lq, lk) for lq, lk in ((5, 5), (1, 9))
                   for mode in ("neg_inf", "hadamard") for rank in (None, 2)]
 
 
+class TestMaskedAttention:
+    def test_recovers_dense_attention(self):
+        # band covering everything and no globals must match the unmasked oracle
+        rng = np.random.default_rng(7)
+        L, d, e = 6, 5, 4
+        x = rng.normal(size=(L, d))
+        mats = [rng.normal(size=(d, e)) for _ in range(3)]
+        out, cache = mha_forward(x[None], x[None], single_head_weights(mats),
+                                 build_mask(L, L - 1))
+        want_out, want_w = dense_attention_reference(*(x @ m for m in mats))
+        np.testing.assert_allclose(out[0], want_out, atol=1e-9)
+        np.testing.assert_allclose(cache[ATTN][0, 0], want_w, atol=1e-9)
+
+    def test_batched_leading_axes(self):
+        # each batch row is attended on its own
+        rng = np.random.default_rng(8)
+        weights = _random_mha_weights(rng, 6, 2, 3, r=2)
+        x = rng.normal(size=(4, 5, 6))
+        mask = build_mask(5, 1)
+        got, _ = mha_forward(x, x, weights, mask)
+        single, _ = mha_forward(x[2:3], x[2:3], weights, mask)
+        np.testing.assert_allclose(got[2], single[0], atol=1e-12)
+
+    @given(seed=st.integers(0, 10**6), band=st.integers(0, 4))
+    @settings(max_examples=25)
+    def test_rows_stochastic_under_any_mask(self, seed, band):
+        rng = np.random.default_rng(seed)
+        weights = _random_mha_weights(rng, 6, 2, 3, r=2)
+        x = rng.normal(size=(2, 6, 6))
+        mask = build_mask(6, band, [1])
+        _, cache = mha_forward(x, x, weights, mask)
+        np.testing.assert_allclose(cache[ATTN].sum(axis=-1), 1.0, atol=1e-12)
+        assert np.all(cache[ATTN][..., ~mask] == 0.0)
+
+
+class TestLowRank:
+    def test_parameter_economy_at_reference_dims(self):
+        # d_model 64, head dim 8: rank-4 factors store 288 per head vs 512 dense
+        cfg = SlatConfig()
+        low = dict(param_shapes(cfg))
+        full = dict(param_shapes(cfg.dense_variant()))
+        u, v = low["time_enc.0.attn.q_u"], low["time_enc.0.attn.q_v"]
+        assert np.prod(u[1:]) + np.prod(v[1:]) == 288
+        assert np.prod(full["time_enc.0.attn.q_u"][1:]) == 512
+
+    def test_projection_equals_composed_matrix(self):
+        # a low-rank forward is the dense forward whose per-head u is u @ v
+        rng = np.random.default_rng(1)
+        weights = _random_mha_weights(rng, 10, 2, 5, r=3)
+        dense = {k: w for k, w in weights.items() if not k.endswith("_v")}
+        for p in "qkv":
+            dense[f"{p}_u"] = weights[f"{p}_u"] @ weights[f"{p}_v"]
+        x = rng.normal(size=(2, 7, 10))
+        mask = build_mask(7, 1, [0])
+        got, _ = mha_forward(x, x, weights, mask)
+        want, _ = mha_forward(x, x, dense, mask)
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_rank_bounds_output_rank(self):
+        rng = np.random.default_rng(2)
+        weights = _random_mha_weights(rng, 12, 1, 8, r=2)
+        x = rng.normal(size=(1, 20, 12))
+        _, cache = mha_forward(x, x, weights, None)
+        for i in (Q, K, V):
+            assert np.linalg.matrix_rank(cache[i][0, 0]) <= 2
+
+
 class TestMultiHead:
-    def test_wrapper_matches_batched_form(self):
+    def test_matches_per_head_reference(self):
+        # each head attends on its own; the heads' contexts are laid side by
+        # side in head order before the output projection
         rng = np.random.default_rng(3)
         d, h, e, r, L = 8, 2, 4, 3, 5
-        heads = []
-        for _ in range(h):
-            heads.append(tuple(
-                LowRankProjection(u=rng.normal(size=(d, r)),
-                                  v=rng.normal(size=(r, e)))
-                for _ in range(3)))
-        w_o = rng.normal(size=(d, d))
+        weights = _random_mha_weights(rng, d, h, e, r)
         mask = build_mask(L, 1, [0])
         x = rng.normal(size=(L, d))
-        out = multi_head_attention(x, heads, w_o, mask)
-        weights = {
-            "q_u": np.stack([t[0].u for t in heads]),
-            "q_v": np.stack([t[0].v for t in heads]),
-            "k_u": np.stack([t[1].u for t in heads]),
-            "k_v": np.stack([t[1].v for t in heads]),
-            "v_u": np.stack([t[2].u for t in heads]),
-            "v_v": np.stack([t[2].v for t in heads]),
-            "out_w": w_o, "out_b": np.zeros(d),
-        }
-        want, _ = mha_forward(x[None], x[None], weights, mask)
-        np.testing.assert_allclose(out, want[0], atol=1e-12)
-
-    def test_head_count_must_divide_d_model(self):
-        rng = np.random.default_rng(4)
-        heads = [tuple(LowRankProjection(u=rng.normal(size=(6, 2)),
-                                         v=rng.normal(size=(2, 2)))
-                       for _ in range(3))] * 4
-        with pytest.raises(ValueError):
-            multi_head_attention(rng.normal(size=(3, 6)), heads,
-                                 rng.normal(size=(6, 6)), None)
+        out, _ = mha_forward(x[None], x[None], weights, mask)
+        contexts = []
+        for i in range(h):
+            q, k, v = (x @ weights[f"{p}_u"][i] @ weights[f"{p}_v"][i] for p in "qkv")
+            contexts.append(softmax_reference(q @ k.T / np.sqrt(e), mask, "neg_inf") @ v)
+        want = np.concatenate(contexts, axis=-1) @ weights["out_w"] + weights["out_b"]
+        np.testing.assert_allclose(out[0], want, atol=1e-12)
 
     @pytest.mark.parametrize("mode, rank, lq, lk", MHA_GRAD_CASES, ids=[
         f"{mode}-{rank}" + ("" if lq == lk else "-decoder_shaped")
@@ -290,18 +264,3 @@ class TestMultiHead:
         out, _ = mha_forward(x_q, x_kv, weights, None)
         assert out.shape == (1, 1, 6)
 
-
-class TestFlops:
-    def test_sparse_below_dense_at_reference_shape(self):
-        # 30 tokens, band 2, two globals, head dim 8
-        sparse = attention_flops(30, 2, 2, 8)
-        dense = dense_attention_flops(30, 8)
-        assert sparse < dense
-        assert sparse == build_mask(30, 2, [0, 1]).nnz * 8
-
-    def test_monotone_in_band_width(self):
-        vals = [attention_flops(20, w, 1, 4) for w in range(6)]
-        assert vals == sorted(vals)
-
-    def test_full_band_matches_dense(self):
-        assert attention_flops(12, 11, 0, 4) == dense_attention_flops(12, 4)

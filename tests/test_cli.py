@@ -92,6 +92,9 @@ CORPUS_CORRUPTIONS = {
     "duplicate_id": _edit_manifest(lambda m: {**m, "trajectories": [
         m["trajectories"][0], {**m["trajectories"][1], "id": m["trajectories"][0]["id"]},
         *m["trajectories"][2:]]}),
+    "short_rows": _edit_csv(lambda text: "".join(  # every row below the header loses a channel
+        line + "\n" if i == 0 else ",".join(line.split(",")[:-2] + line.split(",")[-1:]) + "\n"
+        for i, line in enumerate(text.splitlines()))),
 }
 
 
@@ -296,6 +299,21 @@ class TestRtf:
                    "--checkpoint", str(workdir["run"] / "model.ckpt"),
                    "--trajectory", "nope", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_no_test_trajectory_asks_for_one(self, workdir, tmp_path, capsys):
+        """Without --trajectory on a corpus with no test split, rtf exits 2
+        with one line asking for --trajectory."""
+        root = tmp_path / "corpus"
+        shutil.copytree(workdir["corpus"], root)
+        _edit_manifest(lambda m: {**m, "trajectories": [
+            {**rec, "split": "train"} for rec in m["trajectories"]]})(root)
+        rc = main(["rtf", "--corpus", str(root),
+                   "--checkpoint", str(workdir["run"] / "model.ckpt"),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--trajectory" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestBaseline:

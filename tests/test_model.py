@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from slat.attention import build_mask
 from slat.gradcheck import TINY_CONFIG, check_model_gradients
-from slat.model import (SlatConfig, backward, embed_sensor_tokens,
-                        embed_time_tokens, forward, fuse, init_params,
-                        masks_for, param_count, param_shapes, predict_rul,
-                        stack_samples)
+from slat.model import (SlatConfig, _embed_sensor, _embed_time, backward,
+                        forward, init_params, masks_for, param_count,
+                        param_shapes, predict_rul, stack_samples)
 from slat.windowing import Windows
 
 TINY = SlatConfig(n_stw=6, n_channels=3, d_model=8, time_blocks=1,
@@ -96,51 +95,41 @@ class TestEmbeddings:
         rng = np.random.default_rng(2)
         params = init_params(TINY, rng)
         values, desc = make_batch(TINY, rng)
-        tok = embed_time_tokens(params, TINY, values, desc)
+        tok, _ = _embed_time(params, TINY, values, desc)
         assert tok.shape == (3, TINY.n_stw, TINY.d_model)
         # identical rows still embed differently thanks to the position code
         flat = np.repeat(values[:, :1, :], TINY.n_stw, axis=1)
-        tok2 = embed_time_tokens(params, TINY, flat, desc)
+        tok2, _ = _embed_time(params, TINY, flat, desc)
         assert not np.allclose(tok2[0, 0], tok2[0, 1])
 
     def test_sensor_tokens_shape_and_identity_dependence(self):
         rng = np.random.default_rng(3)
         params = init_params(TINY, rng)
         values, desc = make_batch(TINY, rng)
-        tok = embed_sensor_tokens(params, TINY, values, desc)
+        tok, _ = _embed_sensor(params, TINY, values, desc)
         assert tok.shape == (3, TINY.n_channels, TINY.d_model)
         same = np.repeat(values[:, :, :1], TINY.n_channels, axis=2)
         same_desc = np.concatenate([desc[:, :1]] * TINY.n_channels
                                    + [desc[:, 3:4]] * TINY.n_channels, axis=1)
-        tok2 = embed_sensor_tokens(params, TINY, same, same_desc)
+        tok2, _ = _embed_sensor(params, TINY, same, same_desc)
         assert not np.allclose(tok2[0, 0], tok2[0, 1])
-
-    def test_fuse_concatenates_token_axis(self):
-        a = np.zeros((2, 6, 8))
-        b = np.ones((2, 3, 8))
-        f = fuse(a, b)
-        assert f.shape == (2, 9, 8)
-        np.testing.assert_array_equal(f[:, :6], 0.0)
-        np.testing.assert_array_equal(f[:, 6:], 1.0)
-        with pytest.raises(ValueError):
-            fuse(np.zeros((2, 6, 8)), np.zeros((2, 3, 4)))
 
 
 class TestMasks:
     def test_masks_match_config(self):
         t_mask, s_mask = masks_for(TINY)
-        assert t_mask.length == TINY.n_stw
-        assert s_mask.length == TINY.n_channels
+        assert t_mask.shape == (TINY.n_stw, TINY.n_stw)
+        assert s_mask.shape == (TINY.n_channels, TINY.n_channels)
         want = build_mask(TINY.n_stw, TINY.band_width, range(TINY.n_global))
-        np.testing.assert_array_equal(t_mask.dense, want.dense)
+        np.testing.assert_array_equal(t_mask, want)
 
     def test_globals_clamped_to_short_sequences(self):
         cfg = SlatConfig(n_stw=6, n_channels=2, d_model=8, heads=2,
                          time_blocks=1, sensor_blocks=1, decoder_blocks=1,
                          n_global=5, rank=2)
         t_mask, s_mask = masks_for(cfg)
-        assert s_mask.length == 2
-        assert s_mask.nnz == 4
+        assert s_mask.shape == (2, 2)
+        assert int(s_mask.sum()) == 4
 
 
 class TestForward:
