@@ -173,7 +173,7 @@ def _print_report(report, json_path) -> None:
 
 
 def _cmd_evaluate(args) -> int:
-    corpus = corpus_mod.load_corpus(args.corpus)
+    corpus = corpus_mod.load_corpus(args.corpus, split=args.split)
     predict = _load_predictor(args.checkpoint, corpus)
     report = evaluate(predict, corpus.subset(args.split), corpus.stats,
                       corpus.n_stw, corpus.stride, corpus.label_config)

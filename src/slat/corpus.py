@@ -115,7 +115,10 @@ class Corpus:
     def ids(self, split: str | None = None) -> list:
         if split is None:
             return sorted(self.trajectories)
-        return sorted(tid for tid, s in self.split.items() if s == split)
+        ids = sorted(tid for tid, s in self.split.items() if s == split)
+        if not self.trajectories.keys() >= set(ids):
+            raise ValueError(f"the {split} split was not loaded from {self.root}")
+        return ids
 
     def subset(self, split: str) -> list:
         return [self.trajectories[tid] for tid in self.ids(split)]
@@ -233,9 +236,10 @@ def _check_manifest(manifest) -> None:
                              + (" above 0" if low == 0.0 else ""))
 
 
-def load_corpus(root) -> Corpus:
-    """Read a corpus directory. A manifest or trajectory CSV the pipeline
-    cannot use raises one ValueError naming that file."""
+def load_corpus(root, split: str | None = None) -> Corpus:
+    """Read a corpus directory, parsing only the CSVs of ``split`` if given
+    (the manifest is checked whole). A manifest or trajectory CSV the
+    pipeline cannot use raises one ValueError naming that file."""
     root = Path(root)
     path = root / "manifest.json"
     trajs = {}
@@ -244,9 +248,10 @@ def load_corpus(root) -> Corpus:
             manifest = json.load(fh)
         _check_manifest(manifest)
         for rec in manifest["trajectories"]:
-            path = root / rec["file"]
-            trajs[rec["id"]] = _read_trajectory_csv(path, rec, len(manifest["channels"]))
+            if split in (None, rec["split"]):
+                path = root / rec["file"]
+                trajs[rec["id"]] = _read_trajectory_csv(path, rec, len(manifest["channels"]))
     except (TypeError, ValueError) as exc:  # TypeError: a norm stat of JSON objects
         raise ValueError(f"{path}: {exc}") from None
-    split = {rec["id"]: rec["split"] for rec in manifest["trajectories"]}
-    return Corpus(root=root, manifest=manifest, trajectories=trajs, split=split)
+    splits = {rec["id"]: rec["split"] for rec in manifest["trajectories"]}
+    return Corpus(root=root, manifest=manifest, trajectories=trajs, split=splits)

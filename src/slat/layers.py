@@ -33,16 +33,22 @@ def linear_backward(gy: np.ndarray, cache):
     return gx, x2.T @ g2, g2.sum(axis=0)
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    """Normalize over the last axis (means as ``sum / d``, the ops of
-    ``ndarray.mean``), then apply elementwise gain and bias."""
+def normalize(x: np.ndarray):
+    """Layer norm's (xhat, inv) over the last axis, xhat fresh; means as
+    ``sum / d``, the ops of ``ndarray.mean``."""
     d = x.shape[-1]
     xc = x - x.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(np.square(xc).sum(axis=-1, keepdims=True) / d + LN_EPS)
     xc *= inv  # xc is now xhat
-    y = xc * gain
+    return xc, inv
+
+
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """:func:`normalize`, then gain and bias into a fresh y (the cache keeps xhat)."""
+    xhat, inv = normalize(x)
+    y = xhat * gain
     y += bias
-    return y, (xc, inv, gain)
+    return y, (xhat, inv, gain)
 
 
 def layer_norm_backward(gy: np.ndarray, cache):

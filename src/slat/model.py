@@ -11,9 +11,9 @@ decoder blocks; a linear head maps the final query state to the scalar RUL.
 Parameters live in a flat ``dict[str, np.ndarray]`` so the optimizer,
 checkpointing and gradient checking can treat the model as a named tensor
 collection. A training forward (``train=True``) returns a cache consumed by
-:func:`backward`, which produces a gradient dict with exactly the same keys;
-an inference forward keeps no cache, so its peak memory is one block's
-activations rather than the whole network's.
+:func:`backward`, which produces a gradient dict with exactly the same keys.
+An inference forward runs its own block loop, the same operations without
+dropout or caches, so its peak memory is one block's activations.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import layers
 from .attention import MASK_MODES, build_mask, mha_backward, mha_forward
@@ -202,20 +203,19 @@ def _embed_sensor(params, cfg: SlatConfig, values, descriptors):
 
 # -- transformer blocks -------------------------------------------------------
 
-def _block_forward(x, mem, params, cfg: SlatConfig, prefix, mask, train, rng):
-    """Pre-norm residual block. Self-attention when mem is None, else the
-    normalized stream cross-attends to mem."""
-    rate = cfg.dropout if train else 0.0
+def _block_forward(x, mem, params, cfg: SlatConfig, prefix, mask, rng):
+    """Pre-norm residual block with its backward cache. Self-attention when
+    mem is None, else the normalized stream cross-attends to mem."""
     h1, ln1c = layers.layer_norm(x, params[f"{prefix}ln1.g"], params[f"{prefix}ln1.b"])
     kv = h1 if mem is None else mem
     attn_out, mhac = mha_forward(h1, kv, _attn_weights(params, prefix), mask, cfg.mask_mode)
-    x1, drop1 = layers.dropout(attn_out, rate, rng)
+    x1, drop1 = layers.dropout(attn_out, cfg.dropout, rng)
     x1 += x  # dropout's output is fresh and no cache holds it
     h2, ln2c = layers.layer_norm(x1, params[f"{prefix}ln2.g"], params[f"{prefix}ln2.b"])
     f1, lin1c = layers.linear(h2, params[f"{prefix}ffn.w1"], params[f"{prefix}ffn.b1"])
     g1, geluc = layers.gelu(f1)
     f2, lin2c = layers.linear(g1, params[f"{prefix}ffn.w2"], params[f"{prefix}ffn.b2"])
-    x2, drop2 = layers.dropout(f2, rate, rng)
+    x2, drop2 = layers.dropout(f2, cfg.dropout, rng)
     x2 += x1
     return x2, (ln1c, mhac, drop1, ln2c, lin1c, geluc, lin2c, drop2, mem is not None)
 
@@ -248,15 +248,39 @@ def _block_backward(gy, cache, prefix, grads):
     return np.add(g_x, g_x1, out=g_x), g_mem
 
 
-def _stack_forward(x, mem, params, cfg, name, n_blocks, mask, train, rng):
-    """n_blocks blocks then a final layer norm; the cache is None unless train."""
+def _stack_forward(x, mem, params, cfg, name, n_blocks, mask, rng):
+    """n_blocks blocks then a final layer norm, with the stack's cache."""
     caches = []
     for i in range(n_blocks):
-        x, c = _block_forward(x, mem, params, cfg, f"{name}.{i}.", mask, train, rng)
-        if train:
-            caches.append(c)
+        x, c = _block_forward(x, mem, params, cfg, f"{name}.{i}.", mask, rng)
+        caches.append(c)
     x, lnc = layers.layer_norm(x, params[f"{name}.final_ln.g"], params[f"{name}.final_ln.b"])
-    return x, (caches, lnc) if train else None
+    return x, (caches, lnc)
+
+
+def _norm_inplace(x, params, key):
+    """Layer norm ``key`` of x at inference: the affine applied on xhat."""
+    y, _ = layers.normalize(x)
+    y *= params[f"{key}.g"]
+    y += params[f"{key}.b"]
+    return y
+
+
+def _infer_stack(x, mem, params, cfg, name, n_blocks, mask):
+    """:func:`_stack_forward`'s operations in order, without dropout or caches;
+    the layer-norm affine, GELU product and residual adds work in place."""
+    for i in range(n_blocks):
+        p = f"{name}.{i}."
+        h1 = _norm_inplace(x, params, f"{p}ln1")
+        x1, _ = mha_forward(h1, h1 if mem is None else mem, _attn_weights(params, p), mask,
+                            cfg.mask_mode)
+        x1 += x
+        h2 = _norm_inplace(x1, params, f"{p}ln2")
+        f1, _ = layers.linear(h2, params[f"{p}ffn.w1"], params[f"{p}ffn.b1"])
+        f1 *= ndtr(f1)  # exact GELU, x * Phi(x)
+        x, _ = layers.linear(f1, params[f"{p}ffn.w2"], params[f"{p}ffn.b2"])
+        x += x1
+    return _norm_inplace(x, params, f"{name}.final_ln"), None
 
 
 def _stack_backward(gy, name, cache, grads):
@@ -303,16 +327,16 @@ def forward(params, cfg: SlatConfig, values, descriptors, *, train=False, rng=No
         raise ValueError("training forward with dropout needs an rng")
 
     time_mask, sensor_mask = masks_for(cfg)
+    stack = functools.partial(_stack_forward, rng=rng) if train else _infer_stack
     t_tok, t_emb_cache = _embed_time(params, cfg, values, descriptors)
     s_tok, s_emb_cache = _embed_sensor(params, cfg, values, descriptors)
-    t_out, t_enc_cache = _stack_forward(
-        t_tok, None, params, cfg, "time_enc", cfg.time_blocks, time_mask, train, rng)
-    s_out, s_enc_cache = _stack_forward(
-        s_tok, None, params, cfg, "sensor_enc", cfg.sensor_blocks, sensor_mask, train, rng)
+    t_out, t_enc_cache = stack(t_tok, None, params, cfg, "time_enc", cfg.time_blocks, time_mask)
+    s_out, s_enc_cache = stack(s_tok, None, params, cfg, "sensor_enc", cfg.sensor_blocks,
+                               sensor_mask)
     q = np.broadcast_to(params["decoder.query"], (values.shape[0], 1, cfg.d_model))
     # the decoder attends to both encoders' tokens, time tokens first
-    q, dec_cache = _stack_forward(q, np.concatenate([t_out, s_out], axis=-2), params, cfg,
-                                  "decoder", cfg.decoder_blocks, None, train, rng)
+    q, dec_cache = stack(q, np.concatenate([t_out, s_out], axis=-2), params, cfg,
+                         "decoder", cfg.decoder_blocks, None)
     out, head_cache = layers.linear(q, params["head.w"], params["head.b"])
     cache = (t_emb_cache, s_emb_cache, t_enc_cache, s_enc_cache, dec_cache, head_cache)
     return out[:, 0, 0], cache if train else None
@@ -349,10 +373,15 @@ def stack_samples(windows):
     return windows.values, windows.descriptors, windows.targets
 
 
-def predict_rul(params, cfg: SlatConfig, inputs, batch_size: int = 256) -> np.ndarray:
+def predict_rul(params, cfg: SlatConfig, inputs, batch_size: int = 32) -> np.ndarray:
     """Deterministic inference on a (values, descriptors) pair of stacked,
-    normalized windows, clamped to [0, rul_cap]."""
+    normalized windows, clamped to [0, rul_cap]. In chunks of 32 windows the
+    largest array (about 2 MB) fits one core's L2 cache."""
     values, descriptors = inputs
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if len(descriptors) != len(values):
+        raise ValueError(f"{len(values)} value windows but {len(descriptors)} descriptor rows")
     preds = np.empty(values.shape[0], dtype=np.float64)
     for lo in range(0, values.shape[0], batch_size):
         hi = min(lo + batch_size, values.shape[0])

@@ -171,6 +171,21 @@ class TestEvaluate:
         assert set(data["per_mode_rmse"]) == {"PL", "PD", "VOA", "PC"}
         assert data["missing_modes"] == []
 
+    def test_parses_only_the_split_it_scores(self, workdir, tmp_path, capsys):
+        """A missing train CSV is harmless to --split test; --split train names it."""
+        root = tmp_path / "corpus"
+        shutil.copytree(workdir["corpus"], root)
+        records = json.loads((root / "manifest.json").read_text())["trajectories"]
+        train_csv = root / next(r["file"] for r in records if r["split"] == "train")
+        train_csv.unlink()
+        args = ["evaluate", "--corpus", str(root),
+                "--checkpoint", str(workdir["run"] / "model.ckpt"), "--split"]
+        assert main(args + ["test"]) == 0
+        capsys.readouterr()
+        assert main(args + ["train"]) == 2
+        err = capsys.readouterr().err
+        assert str(train_csv) in err and len(err.strip().splitlines()) == 1
+
     def test_mismatched_pipeline_is_runtime_error(self, workdir, tmp_path):
         other = tmp_path / "other_corpus"
         rc = main(["generate", "--out", str(other), "--seed", "9",

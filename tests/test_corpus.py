@@ -105,6 +105,17 @@ class TestLoading:
         assert train | test == set(small_corpus.ids())
         assert train & test == set()
 
+    def test_split_load_parses_only_that_split(self, small_corpus):
+        test_only = load_corpus(small_corpus.root, split="test")
+        assert test_only.ids() == test_only.ids("test") == small_corpus.ids("test")
+        for tid in test_only.ids():
+            np.testing.assert_array_equal(test_only.trajectories[tid].channels,
+                                          small_corpus.trajectories[tid].channels)
+        with pytest.raises(ValueError, match="train split"):
+            test_only.ids("train")
+        with pytest.raises(ValueError, match="train split"):
+            test_only.subset("train")
+
     def test_too_short_trajectories_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             generate_corpus(tmp_path / "short", master_seed=0,

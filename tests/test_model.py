@@ -195,6 +195,21 @@ class TestForward:
         with pytest.raises(ValueError, match="train=True"):
             backward(params, TINY, cache, np.ones_like(preds))
 
+    @pytest.mark.parametrize("b", [1, 7, 70])
+    @pytest.mark.parametrize("overrides", [{}, {"rank": None}, {"mask_mode": "hadamard"},
+                                           {"n_global": 0}],
+                             ids=["default", "dense", "hadamard", "no_globals"])
+    def test_inference_loop_equals_training_loop(self, overrides, b):
+        """Inference runs its own block loop; without dropout it computes
+        exactly what the training loop computes."""
+        cfg = replace(SlatConfig(dropout=0.0), **overrides)
+        rng = np.random.default_rng(16)
+        params = init_params(cfg, rng)
+        values, desc = make_batch(cfg, rng, b=b)
+        inference, _ = forward(params, cfg, values, desc)
+        training, _ = forward(params, cfg, values, desc, train=True)
+        np.testing.assert_array_equal(inference, training)
+
     def test_mask_mode_changes_output(self):
         rng = np.random.default_rng(8)
         params = init_params(TINY, rng)
@@ -258,6 +273,36 @@ class TestPredict:
         # batch size may change the BLAS reduction path, so equality is only
         # up to a few ulp; identical batching is covered by the bitwise tests
         np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=1e-14)
+
+    def test_chunk_size_does_not_change_predictions(self):
+        cfg = SlatConfig()
+        rng = np.random.default_rng(17)
+        params = init_params(cfg, rng)
+        params["head.b"] = params["head.b"] + cfg.rul_cap / 2  # keep clear of the clamp
+        values, desc = make_batch(cfg, rng, b=70)
+        preds = predict_rul(params, cfg, (values, desc), batch_size=7)
+        assert np.all((preds > 0.0) & (preds < cfg.rul_cap))
+        for batch_size in (32, 70):
+            np.testing.assert_array_equal(
+                predict_rul(params, cfg, (values, desc), batch_size=batch_size), preds)
+
+    def test_input_validation(self):
+        rng = np.random.default_rng(18)
+        params = init_params(TINY, rng)
+        values, desc = make_batch(TINY, rng, b=5)
+        bad = values.copy()
+        bad[3, 0, 0] = np.nan  # in the second chunk
+        for inputs in [(values[:, :4], desc), (values, desc[:, :3]), (values, desc[:4]),
+                       (values, np.concatenate([desc, desc])), (bad, desc)]:
+            with pytest.raises(ValueError):
+                predict_rul(params, TINY, inputs, batch_size=2)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        rng = np.random.default_rng(19)
+        params = init_params(TINY, rng)
+        with pytest.raises(ValueError, match="batch_size"):
+            predict_rul(params, TINY, make_batch(TINY, rng, b=5), batch_size=batch_size)
 
     @given(b=st.integers(1, 9), seed=st.integers(0, 10**6), data=st.data())
     @settings(max_examples=25, deadline=None)
