@@ -24,6 +24,7 @@ reproduces a trajectory bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -47,6 +48,7 @@ N_CHANNELS = len(CHANNELS)
 
 # measurement noise std per channel (mA, mA, mW, mW, dB, dB, dB, dB, degC)
 BASE_NOISE_STD = np.array([0.5, 0.5, 0.2, 0.2, 0.01, 0.01, 0.01, 0.01, 0.25])
+NOISE_BLOCK = 256  # steps of measurement noise drawn per generator call
 
 
 @dataclass(frozen=True)
@@ -167,14 +169,11 @@ class AmplifierState:
         """Overall held reading gain, output over input."""
         return self.target_gain_1 + self.target_gain_2
 
-    def stage_gains(self, op: OperatingPoint) -> tuple[float, float]:
+    def true_powers(self, op: OperatingPoint) -> tuple[float, float]:
+        """Noise-free optical power (dBm) at the interstage and output taps;
+        each stage's gain in dB is linear in its pump power."""
         g1 = op.gain_per_mw_1 * self.pump_current_1 * self.pump_eff_1
         g2 = op.gain_per_mw_2 * self.pump_current_2 * self.pump_eff_2
-        return g1, g2
-
-    def true_powers(self, op: OperatingPoint) -> tuple[float, float]:
-        """Noise-free optical power (dBm) at the interstage and output taps."""
-        g1, g2 = self.stage_gains(op)
         inter = self.input_power + g1 - (self.voa_commanded + self.voa_error)
         out = inter - self.passive_loss + g2
         return inter, out
@@ -234,33 +233,28 @@ def agc_step(state: AmplifierState, ctrl: ControllerConfig, op: OperatingPoint) 
     return state
 
 
-def observe(state: AmplifierState, op: OperatingPoint,
-            noise_std: np.ndarray | None = None,
-            rng: np.random.Generator | None = None) -> np.ndarray:
+def observe(state: AmplifierState, op: OperatingPoint, noise=None) -> list:
     """Record one channel row and retain the power readings for the next
-    control step. With rng=None the observation is noise-free."""
+    control step. ``noise`` holds the row's measurement noise, one value per
+    channel; with noise=None the observation is noise-free."""
     inter, out = state.true_powers(op)
-    if rng is not None and noise_std is not None:
-        noise = rng.standard_normal(N_CHANNELS) * noise_std
-    else:
-        noise = np.zeros(N_CHANNELS)
+    noise = (0.0,) * N_CHANNELS if noise is None else noise
     p1 = state.pump_current_1 * state.pump_eff_1
     p2 = state.pump_current_2 * state.pump_eff_2
     r1 = state.input_power + noise[4]
     r2 = inter + state.pd2_bias + noise[5]
     r3 = out + noise[6]
     state.r1, state.r2, state.r3 = r1, r2, r3
-    return np.array([
-        state.pump_current_1 + noise[0],
-        state.pump_current_2 + noise[1],
-        p1 + noise[2],
-        p2 + noise[3],
-        r1,
-        r2,
-        r3,
-        state.voa_commanded + noise[7],
-        state.case_temperature + noise[8],
-    ])
+    return [state.pump_current_1 + noise[0], state.pump_current_2 + noise[1],
+            p1 + noise[2], p2 + noise[3], r1, r2, r3,
+            state.voa_commanded + noise[7], state.case_temperature + noise[8]]
+
+
+def _noise_rows(rng: np.random.Generator, noise_std: np.ndarray):
+    """Measurement noise rows as Python floats, drawn NOISE_BLOCK steps per
+    generator call: the same stream as one standard_normal(N_CHANNELS) per step."""
+    while True:
+        yield from (rng.standard_normal((NOISE_BLOCK, N_CHANNELS)) * noise_std).tolist()
 
 
 def _crossed(state: AmplifierState, cfg: SimConfig) -> bool:
@@ -317,14 +311,14 @@ def simulate_trajectory(cfg: SimConfig, seed, traj_id: str | None = None,
     rng = np.random.default_rng(seed)
     rate = draw_drift_rate(cfg, rng)
     state = init_state(cfg.op)
-    noise_std = cfg.noise_std if cfg.noise_scale > 0 else None
-    noise_rng = rng if noise_std is not None else None
+    noise_rows = (_noise_rows(rng, cfg.noise_std) if cfg.noise_scale > 0
+                  else itertools.repeat(None))
     internals = SimInternals(drift_rate=rate)
     rows = []
-    for t in range(cfg.max_steps):
+    for t, noise in zip(range(cfg.max_steps), noise_rows):
         inject_drift(state, cfg.mode, t, rate, cfg.op)
         agc_step(state, cfg.ctrl, cfg.op)
-        rows.append(observe(state, cfg.op, noise_std, noise_rng))
+        rows.append(observe(state, cfg.op, noise))
         if with_internals:
             internals.record(state, cfg.op)
         if _crossed(state, cfg):

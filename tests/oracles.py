@@ -4,10 +4,13 @@ Everything here is written the slow, obvious way (explicit loops, no shared
 code with the package) so a bug in the library cannot hide in its own test.
 """
 
+import csv
 import math
 
 import numpy as np
 from scipy.special import erf
+
+from slat import simulator as sim
 
 
 def naive_window_starts(n_steps, n_stw, stride):
@@ -142,3 +145,59 @@ def single_head_weights(mats):
     for name, m in zip("qkv", mats):
         weights[f"{name}_u"], weights[f"{name}_v"] = m[None], eye[None]
     return weights
+
+
+# Corpus set-up written step by step: one noise draw per simulated step, and
+# the csv module writing and reading one row at a time. The library draws noise
+# in blocks and writes and parses whole files; its corpora must be bit- and
+# byte-identical. The simulator's step functions themselves are the library's.
+
+def observe_reference(state, op, noise_std, rng):
+    """One channel row, with its noise drawn for this step alone."""
+    inter, out = state.true_powers(op)
+    noise = rng.standard_normal(len(noise_std)) * noise_std if rng is not None else np.zeros(9)
+    r1 = state.input_power + noise[4]
+    r2 = inter + state.pd2_bias + noise[5]
+    r3 = out + noise[6]
+    state.r1, state.r2, state.r3 = r1, r2, r3
+    return np.array([state.pump_current_1 + noise[0], state.pump_current_2 + noise[1],
+                     state.pump_current_1 * state.pump_eff_1 + noise[2],
+                     state.pump_current_2 * state.pump_eff_2 + noise[3], r1, r2, r3,
+                     state.voa_commanded + noise[7], state.case_temperature + noise[8]])
+
+
+def simulate_trajectory_reference(cfg, seed):
+    """Channels ``(T, 9)`` and per-step internals of one run to failure."""
+    rng = np.random.default_rng(seed)
+    rate = sim.draw_drift_rate(cfg, rng)
+    state = sim.init_state(cfg.op)
+    internals = sim.SimInternals(drift_rate=rate)
+    rows = []
+    for t in range(cfg.max_steps):
+        sim.inject_drift(state, cfg.mode, t, rate, cfg.op)
+        sim.agc_step(state, cfg.ctrl, cfg.op)
+        rows.append(observe_reference(state, cfg.op, cfg.noise_std,
+                                      rng if cfg.noise_scale > 0 else None))
+        internals.record(state, cfg.op)
+        if sim._crossed(state, cfg):
+            return np.asarray(rows), internals
+    raise RuntimeError("failure threshold not reached")
+
+
+def write_trajectory_csv_reference(path, channels, cap):
+    """``t, ch_0.., rul`` through ``csv.writer``, floats as ``repr``."""
+    failure_index = len(channels) - 1
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t"] + [f"ch_{i}" for i in range(channels.shape[1])] + ["rul"])
+        for t, row in enumerate(channels):
+            writer.writerow([str(t)] + [repr(float(v)) for v in row]
+                            + [repr(naive_rul(failure_index, t, cap))])
+
+
+def read_trajectory_csv_reference(path):
+    """The channel columns through ``csv.reader`` and ``float``."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return np.asarray([[float(x) for x in row[1:-1]] for row in reader])

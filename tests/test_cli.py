@@ -65,6 +65,16 @@ def _edit_csv(change):
     return corrupt
 
 
+def _edit_lines(num, change):
+    """A corpus corruption: rewrite the first trajectory CSV's lines as
+    change(lines). The refusal must name the file and line ``num`` (1-based,
+    the header is line 1)."""
+    def corrupt(root):
+        path = _edit_csv(lambda text: "".join(change(text.splitlines(keepends=True))))(root)
+        return f"{path}: line {num} "
+    return corrupt
+
+
 def _without(key):
     return _edit_manifest(lambda m: {k: v for k, v in m.items() if k != key})
 
@@ -95,6 +105,13 @@ CORPUS_CORRUPTIONS = {
     "short_rows": _edit_csv(lambda text: "".join(  # every row below the header loses a channel
         line + "\n" if i == 0 else ",".join(line.split(",")[:-2] + line.split(",")[-1:]) + "\n"
         for i, line in enumerate(text.splitlines()))),
+    "swapped_columns": _edit_csv(lambda text: "".join(  # ch_0 and ch_1 trade places
+        ",".join([f[0], f[2], f[1], *f[3:]]) + "\n"
+        for f in (line.split(",") for line in text.splitlines()))),
+    "blank_line": _edit_lines(7, lambda lines: lines[:6] + ["\n"] + lines[6:]),
+    "non_numeric_value": _edit_lines(  # line 6 holds t = 4; its ch_0 becomes abc
+        6, lambda lines: lines[:5] + ["4,abc," + lines[5].split(",", 2)[2]] + lines[6:]),
+    "swapped_rows": _edit_lines(4, lambda lines: lines[:3] + lines[4:2:-1] + lines[5:]),
 }
 
 
@@ -344,7 +361,8 @@ class TestBaseline:
     @pytest.mark.parametrize("corruption", list(CORPUS_CORRUPTIONS))
     def test_corrupted_corpus_is_runtime_error(self, workdir, tmp_path, capsys,
                                                corruption):
-        """Each corruption exits 2 with one line naming the file at fault."""
+        """Each corruption exits 2 with one line naming the file at fault (and
+        the line, where the fault is in one)."""
         root = tmp_path / "corpus"
         shutil.copytree(workdir["corpus"], root)
         at_fault = CORPUS_CORRUPTIONS[corruption](root)

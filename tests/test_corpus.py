@@ -2,11 +2,13 @@ import filecmp
 import json
 
 import numpy as np
+import oracles
 import pytest
 
-from slat.corpus import generate_corpus, load_corpus
-from slat.simulator import CHANNELS, MODE_BASE_RATE, SimConfig
-from slat.windowing import FaultMode
+from slat.corpus import (_read_trajectory_csv, _write_trajectory_csv, generate_corpus,
+                         load_corpus)
+from slat.simulator import CHANNELS, MODE_BASE_RATE, SimConfig, simulate_trajectory
+from slat.windowing import FaultMode, Trajectory
 
 
 def fast_configs(n=2):
@@ -69,6 +71,49 @@ class TestCsvFormat:
         np.testing.assert_array_equal(
             reloaded.trajectories[tid].channels,
             small_corpus.trajectories[tid].channels)
+
+
+def odd_float_trajectory(n_steps=300, seed=0):
+    """Finite float64s from random bit patterns (subnormals, huge and tiny
+    exponents, negative zero), to test repr writing and parsing exactly."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=(n_steps, len(CHANNELS)),
+                                                dtype=np.uint64)
+    channels = bits.view(np.float64)
+    channels[~np.isfinite(channels)] = -0.0
+    channels[:3] = [[5e-324, -0.0, 0.0, 1.7976931348623157e308, -2.2250738585072014e-308,
+                     0.1, 1e22, 1e-7, 123456789.0]] * 3
+    return Trajectory(traj_id="odd", mode=FaultMode.VOA, channels=channels,
+                      failure_index=n_steps - 1)
+
+
+class TestMatchesCsvModuleOracle:
+    """One-pass writing and vectorised parsing give the csv module's bytes
+    and the ``float`` parse of every value."""
+
+    def trajectories(self):
+        yield odd_float_trajectory()
+        for mode in FaultMode:
+            yield simulate_trajectory(SimConfig(mode=mode), 3)
+            yield simulate_trajectory(SimConfig(mode=mode, noise_scale=0.0), 3)
+
+    @pytest.mark.parametrize("cap", [125.0, 1e9, 0.5])
+    def test_writer_bytes_and_reader_arrays(self, tmp_path, cap):
+        for k, traj in enumerate(self.trajectories()):
+            ours, ref = tmp_path / f"{k}.csv", tmp_path / f"{k}_ref.csv"
+            _write_trajectory_csv(ours, traj, cap)
+            oracles.write_trajectory_csv_reference(ref, traj.channels, cap)
+            assert ours.read_bytes() == ref.read_bytes()
+            rec = {"id": "x", "mode": traj.mode.value, "failure_index": traj.failure_index}
+            channels = _read_trajectory_csv(ref, rec, len(CHANNELS)).channels
+            assert channels.flags.c_contiguous
+            assert channels.tobytes() == oracles.read_trajectory_csv_reference(ref).tobytes()
+            assert channels.tobytes() == traj.channels.tobytes()
+
+    def test_reader_arrays_on_a_generated_corpus(self, small_corpus):
+        loaded = load_corpus(small_corpus.root)
+        for rec in small_corpus.manifest["trajectories"]:
+            ref = oracles.read_trajectory_csv_reference(small_corpus.root / rec["file"])
+            assert loaded.trajectories[rec["id"]].channels.tobytes() == ref.tobytes()
 
 
 class TestDeterminism:

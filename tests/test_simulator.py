@@ -1,7 +1,8 @@
 import numpy as np
+import oracles
 import pytest
 
-from slat.simulator import (BASE_NOISE_STD, CHANNELS, MODE_BASE_RATE,
+from slat.simulator import (BASE_NOISE_STD, CHANNELS, MODE_BASE_RATE, NOISE_BLOCK,
                             ControllerConfig, FailureThresholds,
                             OperatingPoint, SimConfig, agc_step,
                             draw_drift_rate, init_state, inject_drift,
@@ -35,7 +36,7 @@ class TestSteadyState:
     def test_observe_noise_free_row_layout(self):
         state = init_state(OP)
         row = observe(state, OP)
-        assert row.shape == (len(CHANNELS),)
+        assert len(row) == len(CHANNELS)
         assert row[I1] == pytest.approx(100.0)
         assert row[R1] == pytest.approx(-6.0)
         assert row[R3] - row[R1] == pytest.approx(26.0)
@@ -162,6 +163,40 @@ class TestTrajectories:
                 assert 2 * 30 <= traj.n_steps <= cfg.max_steps, mode
 
 
+class TestMatchesPerStepOracle:
+    """Noise drawn NOISE_BLOCK steps at a time is the per-step stream, so
+    every trajectory equals the per-step loop's bit for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(cfg, seed):
+        traj, ints = simulate_trajectory(cfg, seed, with_internals=True)
+        channels, ref_ints = oracles.simulate_trajectory_reference(cfg, seed)
+        assert traj.channels.shape == channels.shape
+        assert traj.channels.tobytes() == channels.tobytes()
+        assert traj.failure_index == len(channels) - 1
+        assert ints == ref_ints  # every per-step internal, exactly
+        assert simulate_trajectory(cfg, seed).channels.tobytes() == channels.tobytes()
+        return traj
+
+    @pytest.mark.parametrize("mode", list(FaultMode))
+    def test_default_drift(self, mode):
+        for i in range(3):
+            self.assert_matches_oracle(SimConfig(mode=mode), trajectory_seed(4, mode, i))
+
+    @pytest.mark.parametrize("mode", list(FaultMode))
+    def test_trajectories_spanning_several_noise_blocks(self, mode):
+        rate = 0.25 * MODE_BASE_RATE[mode]
+        traj = self.assert_matches_oracle(base_cfg(mode, drift_rate_bounds=(rate, rate)), 8)
+        assert traj.n_steps > 3 * NOISE_BLOCK
+
+    @pytest.mark.parametrize("mode", list(FaultMode))
+    def test_noise_free(self, mode):
+        self.assert_matches_oracle(base_cfg(mode, noise_scale=0.0), 9)
+
+    def test_scaled_noise(self):
+        self.assert_matches_oracle(base_cfg(FaultMode.VOA, noise_scale=3.0), 10)
+
+
 def healthy_stats(seed, n=300):
     """Channel mean/std of a no-drift run, for the isolation tests."""
     state = init_state(OP)
@@ -169,7 +204,7 @@ def healthy_stats(seed, n=300):
     rows = []
     for _ in range(n):
         agc_step(state, CTRL, OP)
-        rows.append(observe(state, OP, BASE_NOISE_STD, rng))
+        rows.append(observe(state, OP, rng.standard_normal(len(CHANNELS)) * BASE_NOISE_STD))
     rows = np.asarray(rows)
     return rows.mean(axis=0), rows.std(axis=0)
 
