@@ -49,9 +49,9 @@ def save_checkpoint(path, params: dict, cfg: SlatConfig,
 def load_checkpoint(path):
     """Returns (params, config, pipeline). The config decides the tensors: the
     header's index must list ``sorted(param_shapes(config))`` (names, order,
-    shapes) and the bytes after it must be their float64 values, exactly.
-    Anything else raises ValueError naming the file (and the first differing
-    index entry)."""
+    shapes) and the bytes after it must be their float64 values, exactly, and
+    finite. Anything else raises ValueError naming the file (and the first
+    differing index entry or non-finite tensor)."""
     try:
         with open(Path(path), "rb") as fh:
             return _read_checkpoint(fh)
@@ -72,6 +72,10 @@ def _read_checkpoint(fh):
     header = json.loads(fh.read(head_len).decode("utf-8"))
     config = dict(header["config"])
     config.pop("dtype", None)  # a field of configs written before all models were float64
+    # configs written when SlatConfig had two masking rules name theirs
+    mask_mode = config.pop("mask_mode", "neg_inf")
+    if mask_mode != "neg_inf":
+        raise ValueError(f"config field mask_mode={mask_mode!r}: that masking rule is gone")
     cfg = SlatConfig.from_dict(config)
     shapes = sorted(param_shapes(cfg))
     index = [{"name": name, "shape": list(shape)} for name, shape in shapes]
@@ -83,6 +87,11 @@ def _read_checkpoint(fh):
     if size - fh.tell() != flat.nbytes:
         raise ValueError(f"{size - fh.tell()} tensor bytes left, its config needs {flat.nbytes}")
     fh.readinto(flat)
+    ends = np.cumsum(sizes)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        first = int(np.searchsorted(ends, np.argmin(finite), side="right"))
+        raise ValueError(f"tensor {shapes[first][0]} holds non-finite values")
     params = {name: part.reshape(shape) for (name, shape), part
-              in zip(shapes, np.split(flat, np.cumsum(sizes)[:-1]))}
+              in zip(shapes, np.split(flat, ends[:-1]))}
     return params, cfg, dict(header.get("pipeline", {}))

@@ -102,9 +102,8 @@ def dropout_backward(gy: np.ndarray, keep):
 
 @functools.lru_cache(maxsize=16)
 def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
-    """Fixed sin/cos positional table of shape (length, d_model), read-only."""
-    if d_model % 2 != 0:
-        raise ValueError("d_model must be even for sinusoidal encoding")
+    """Fixed sin/cos positional table of shape (length, d_model), read-only;
+    d_model is even (``SlatConfig`` checks it)."""
     pos = np.arange(length, dtype=np.float64)[:, None]
     freq = np.exp(-np.log(10000.0) * np.arange(0, d_model, 2, dtype=np.float64) / d_model)
     table = np.empty((length, d_model))

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import layers
-from .attention import MASK_MODES, build_mask, mha_backward, mha_forward
+from .attention import build_mask, mha_backward, mha_forward
 
 
 # Accepted Python types per annotation; bools are refused even where int is.
@@ -50,7 +50,6 @@ class SlatConfig:
     n_global: int = 2           # global tokens = first n positions
     dropout: float = 0.1
     rul_cap: float = 125.0
-    mask_mode: str = "neg_inf"
 
     def __post_init__(self):
         for f in fields(self):
@@ -61,6 +60,8 @@ class SlatConfig:
                      "decoder_blocks", "heads", "ffn_mult"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.d_model % 2 != 0:
+            raise ValueError(f"d_model {self.d_model} must be even (sinusoidal encoding)")
         if self.d_model % self.heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.rank is not None and not 1 <= self.rank <= min(self.d_model, self.d_head):
@@ -71,8 +72,6 @@ class SlatConfig:
             raise ValueError(f"dropout {self.dropout} outside [0, 1)")
         if self.rul_cap <= 0 or not math.isfinite(self.rul_cap):
             raise ValueError(f"rul_cap must be positive and finite, got {self.rul_cap}")
-        if self.mask_mode not in MASK_MODES:
-            raise ValueError(f"unknown mask_mode {self.mask_mode!r}")
 
     @property
     def d_head(self) -> int:
@@ -208,7 +207,7 @@ def _block_forward(x, mem, params, cfg: SlatConfig, prefix, mask, rng):
     mem is None, else the normalized stream cross-attends to mem."""
     h1, ln1c = layers.layer_norm(x, params[f"{prefix}ln1.g"], params[f"{prefix}ln1.b"])
     kv = h1 if mem is None else mem
-    attn_out, mhac = mha_forward(h1, kv, _attn_weights(params, prefix), mask, cfg.mask_mode)
+    attn_out, mhac = mha_forward(h1, kv, _attn_weights(params, prefix), mask)
     x1, drop1 = layers.dropout(attn_out, cfg.dropout, rng)
     x1 += x  # dropout's output is fresh and no cache holds it
     h2, ln2c = layers.layer_norm(x1, params[f"{prefix}ln2.g"], params[f"{prefix}ln2.b"])
@@ -268,12 +267,12 @@ def _norm_inplace(x, params, key):
 
 def _infer_stack(x, mem, params, cfg, name, n_blocks, mask):
     """:func:`_stack_forward`'s operations in order, without dropout or caches;
-    the layer-norm affine, GELU product and residual adds work in place."""
+    the layer-norm affine, GELU product and residual adds work in place. It
+    takes ``_stack_forward``'s arguments, so ``forward`` calls either one."""
     for i in range(n_blocks):
         p = f"{name}.{i}."
         h1 = _norm_inplace(x, params, f"{p}ln1")
-        x1, _ = mha_forward(h1, h1 if mem is None else mem, _attn_weights(params, p), mask,
-                            cfg.mask_mode)
+        x1, _ = mha_forward(h1, h1 if mem is None else mem, _attn_weights(params, p), mask)
         x1 += x
         h2 = _norm_inplace(x1, params, f"{p}ln2")
         f1, _ = layers.linear(h2, params[f"{p}ffn.w1"], params[f"{p}ffn.b1"])

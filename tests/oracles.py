@@ -94,9 +94,9 @@ def numeric_gradient(f, x, h=1e-5):
 # operations in the same order with fewer temporaries, so results must be
 # bit-identical (GELU itself excepted: the library uses the normal CDF).
 
-def softmax_reference(logits, allowed, mode):
+def softmax_reference(logits, allowed):
     if allowed is not None:
-        logits = np.where(allowed, logits, -np.inf) if mode == "neg_inf" else logits * allowed
+        logits = np.where(allowed, logits, -np.inf)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 

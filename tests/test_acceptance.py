@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from oracles import (
     dense_attention_reference,
@@ -124,6 +125,7 @@ def test_lowrank_projection_saves_parameters():
     assert low_total < full_total
 
 
+@pytest.mark.slow
 def test_overfits_32_samples_within_budget(small_corpus):
     """The full-size model drives train RMSE below 1.0 steps on a fixed
     32-window subset within 500 epochs and five minutes."""
@@ -148,6 +150,7 @@ def test_overfits_32_samples_within_budget(small_corpus):
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_model_orders_below_baselines_end_to_end(tmp_path):
     """Generate a 4-mode x 10-trajectory corpus, train a reduced model, and
     require model average RMSE < linear baseline < constant baseline on the

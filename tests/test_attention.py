@@ -74,32 +74,16 @@ class TestMaskedSoftmax:
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(w >= 0)
 
-    def test_hadamard_mode_keeps_masked_entries(self):
-        # masked logits become 0 and still get weight exp(0)/Z
-        logits = np.array([[1.0, 2.0, 3.0]])
-        allowed = np.array([[True, False, True]])
-        w_inf = masked_softmax(logits, allowed, mode="neg_inf")
-        w_had = masked_softmax(logits, allowed, mode="hadamard")
-        assert w_inf[0, 1] == 0.0
-        assert w_had[0, 1] > 0.0
-        expected = np.exp([1.0, 0.0, 3.0])
-        np.testing.assert_allclose(w_had[0], expected / expected.sum(), atol=1e-12)
-
     def test_large_logits_stay_finite(self):
         logits = np.array([[1000.0, -1000.0, 999.0]])
         w = masked_softmax(logits, None)
         assert np.all(np.isfinite(w))
         np.testing.assert_allclose(w.sum(), 1.0, atol=1e-12)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            masked_softmax(np.zeros((2, 2)), None, mode="zero_fill")
-
     @given(lead=st.lists(st.integers(1, 3), max_size=2), length=st.integers(1, 12),
-           seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["neg_inf", "hadamard"]),
-           masked=st.booleans())
+           seed=st.integers(0, 2**32 - 1), masked=st.booleans())
     @settings(max_examples=60)
-    def test_bit_identical_to_textbook_form(self, lead, length, seed, mode, masked):
+    def test_bit_identical_to_textbook_form(self, lead, length, seed, masked):
         rng = np.random.default_rng(seed)
         logits = rng.normal(0, 4, size=(*lead, length, length))
         allowed = None
@@ -107,8 +91,8 @@ class TestMaskedSoftmax:
             allowed = rng.random((length, length)) < 0.5
             np.fill_diagonal(allowed, True)
         before = logits.copy()
-        got = masked_softmax(logits, allowed, mode)
-        assert np.array_equal(got, softmax_reference(logits, allowed, mode))
+        got = masked_softmax(logits, allowed)
+        assert np.array_equal(got, softmax_reference(logits, allowed))
         assert np.array_equal(logits, before)
 
 
@@ -130,9 +114,9 @@ def _random_mha_weights(rng, d, h, e, r=None):
 
 # self-attention shaped (Lq = Lk, banded mask) and decoder shaped (one query
 # over 9 keys, no mask); the latter checks that the backward splits the input
-# gradient between x_q and x_kv
-MHA_GRAD_CASES = [(mode, rank, lq, lk) for lq, lk in ((5, 5), (1, 9))
-                  for mode in ("neg_inf", "hadamard") for rank in (None, 2)]
+# gradient between x_q and x_kv. Ids keep the name "neg_inf" of the masking
+# rule (masked logits set to -inf).
+MHA_GRAD_CASES = [(rank, lq, lk) for lq, lk in ((5, 5), (1, 9)) for rank in (None, 2)]
 
 
 class TestMaskedAttention:
@@ -215,14 +199,14 @@ class TestMultiHead:
         contexts = []
         for i in range(h):
             q, k, v = (x @ weights[f"{p}_u"][i] @ weights[f"{p}_v"][i] for p in "qkv")
-            contexts.append(softmax_reference(q @ k.T / np.sqrt(e), mask, "neg_inf") @ v)
+            contexts.append(softmax_reference(q @ k.T / np.sqrt(e), mask) @ v)
         want = np.concatenate(contexts, axis=-1) @ weights["out_w"] + weights["out_b"]
         np.testing.assert_allclose(out[0], want, atol=1e-12)
 
-    @pytest.mark.parametrize("mode, rank, lq, lk", MHA_GRAD_CASES, ids=[
-        f"{mode}-{rank}" + ("" if lq == lk else "-decoder_shaped")
-        for mode, rank, lq, lk in MHA_GRAD_CASES])
-    def test_gradients_match_numeric(self, mode, rank, lq, lk):
+    @pytest.mark.parametrize("rank, lq, lk", MHA_GRAD_CASES, ids=[
+        f"neg_inf-{rank}" + ("" if lq == lk else "-decoder_shaped")
+        for rank, lq, lk in MHA_GRAD_CASES])
+    def test_gradients_match_numeric(self, rank, lq, lk):
         rng = np.random.default_rng(5)
         b, d, h, e = 2, 6, 2, 3
         weights = _random_mha_weights(rng, d, h, e, rank)
@@ -231,14 +215,14 @@ class TestMultiHead:
         mask = build_mask(lq, 1, [0]) if lq == lk else None
         direction = rng.normal(size=(b, lq, d))
 
-        out, cache = mha_forward(x_q, x_kv, weights, mask, mode)
+        out, cache = mha_forward(x_q, x_kv, weights, mask)
         gx_q, gx_kv, grads = mha_backward(direction, cache)
 
         def loss_for(name):
             def f(w):
                 trial = dict(weights)
                 trial[name] = w
-                y, _ = mha_forward(x_q, x_kv, trial, mask, mode)
+                y, _ = mha_forward(x_q, x_kv, trial, mask)
                 return float(np.sum(y * direction))
             return f
 
@@ -248,11 +232,11 @@ class TestMultiHead:
                                        err_msg=name)
 
         num_xq = numeric_gradient(
-            lambda xx: float(np.sum(mha_forward(xx, x_kv, weights, mask, mode)[0]
+            lambda xx: float(np.sum(mha_forward(xx, x_kv, weights, mask)[0]
                                     * direction)), x_q.copy())
         np.testing.assert_allclose(gx_q, num_xq, atol=1e-6)
         num_xkv = numeric_gradient(
-            lambda xx: float(np.sum(mha_forward(x_q, xx, weights, mask, mode)[0]
+            lambda xx: float(np.sum(mha_forward(x_q, xx, weights, mask)[0]
                                     * direction)), x_kv.copy())
         np.testing.assert_allclose(gx_kv, num_xkv, atol=1e-6)
 

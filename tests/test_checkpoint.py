@@ -78,21 +78,63 @@ def test_rejects_tensors_its_config_does_not_list(tmp_path):
         load_checkpoint(tmp_path / "s.ckpt")
 
 
+def _with_config_field(src, dst, name, value):
+    """Write ``dst``: checkpoint ``src`` with ``name: value`` added to its
+    header's config, as a checkpoint of an older SlatConfig would carry it."""
+    data = src.read_bytes()
+    start = len(MAGIC) + 8
+    (head_len,) = struct.unpack("<Q", data[len(MAGIC):start])
+    header = json.loads(data[start:start + head_len])
+    header["config"][name] = value
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    dst.write_bytes(MAGIC + struct.pack("<Q", len(head)) + head + data[start + head_len:])
+
+
 def test_header_with_legacy_dtype_field_loads(tmp_path, tiny_state):
     """Checkpoints written while SlatConfig had a dtype field still load."""
     params, cfg, pipeline = tiny_state
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, params, cfg, pipeline)
-    data = path.read_bytes()
-    (head_len,) = struct.unpack("<Q", data[len(MAGIC):len(MAGIC) + 8])
-    start = len(MAGIC) + 8
-    header = json.loads(data[start:start + head_len])
-    header["config"]["dtype"] = "float64"
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
     legacy = tmp_path / "legacy.ckpt"
-    legacy.write_bytes(MAGIC + struct.pack("<Q", len(head)) + head
-                       + data[start + head_len:])
+    _with_config_field(path, legacy, "dtype", "float64")
     loaded, cfg2, _ = load_checkpoint(legacy)
     assert cfg2 == cfg
     for k in params:
         np.testing.assert_array_equal(loaded[k], params[k])
+
+
+def test_header_with_legacy_mask_mode_field_loads(tmp_path, tiny_state):
+    """Checkpoints written while SlatConfig had a mask_mode field, set to the
+    one masking rule that remains, load with the same tensors and config."""
+    params, cfg, pipeline = tiny_state
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, params, cfg, pipeline)
+    legacy = tmp_path / "legacy.ckpt"
+    _with_config_field(path, legacy, "mask_mode", "neg_inf")
+    loaded, cfg2, pipe2 = load_checkpoint(legacy)
+    assert (cfg2, pipe2) == (cfg, pipeline)
+    assert set(loaded) == set(params)
+    for k in params:
+        np.testing.assert_array_equal(loaded[k], params[k])
+
+
+def test_rejects_removed_mask_mode(tmp_path, tiny_state):
+    params, cfg, pipeline = tiny_state
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, params, cfg, pipeline)
+    legacy = tmp_path / "legacy.ckpt"
+    _with_config_field(path, legacy, "mask_mode", "hadamard")
+    with pytest.raises(ValueError, match=r"legacy\.ckpt: config field mask_mode='hadamard'"):
+        load_checkpoint(legacy)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_tensor(tmp_path, tiny_state, value):
+    """The first tensor holding a non-finite value is named."""
+    params, cfg, pipeline = tiny_state
+    params = {**params, "head.b": np.full_like(params["head.b"], value),
+              "time_embed.w": params["time_embed.w"] * value}
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, params, cfg, pipeline)
+    with pytest.raises(ValueError, match=r"m\.ckpt: tensor head\.b holds non-finite"):
+        load_checkpoint(path)

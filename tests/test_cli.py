@@ -7,6 +7,7 @@ import struct
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slat.checkpoint import MAGIC, load_checkpoint, save_checkpoint
@@ -159,9 +160,10 @@ class TestTrain:
         ({**TINY_MODEL, "band_width": True}, "band_width"),
         ({**TINY_MODEL, "rul_cap": 60.0}, "rul_cap"),
         ({**TINY_MODEL, "n_stw": 20, "n_channels": 9}, "n_channels, n_stw"),
+        ({**TINY_MODEL, "mask_mode": "neg_inf"}, "mask_mode"),
     ], ids=["unknown_field", "not_an_object", "str_int", "str_float",
             "float_int", "fractional_rank", "bool_int", "corpus_rul_cap",
-            "corpus_window_and_channels"])
+            "corpus_window_and_channels", "removed_mask_mode"])
     def test_bad_model_config_is_runtime_error(self, workdir, tmp_path, capsys,
                                                config, named):
         path = tmp_path / "model.json"
@@ -170,7 +172,8 @@ class TestTrain:
                    "--out", str(tmp_path / "run"), "--epochs", "1",
                    "--model-config", str(path)])
         assert rc == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and len(err.strip().splitlines()) == 1
 
 
 class TestEvaluate:
@@ -281,6 +284,38 @@ class TestEvaluate:
         assert rc == 2
         err = capsys.readouterr().err
         assert "head.b" in err and len(err.strip().splitlines()) == 1
+
+    def test_checkpoint_with_removed_mask_rule_is_runtime_error(self, workdir, tmp_path,
+                                                                capsys):
+        data = (workdir["run"] / "model.ckpt").read_bytes()
+        start = len(MAGIC) + 8
+        (head_len,) = struct.unpack("<Q", data[len(MAGIC):start])
+        header = json.loads(data[start:start + head_len])
+        header["config"]["mask_mode"] = "hadamard"
+        head = json.dumps(header, sort_keys=True).encode("utf-8")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(MAGIC + _header(head) + data[start + head_len:])
+        rc = main(["evaluate", "--corpus", str(workdir["corpus"]), "--checkpoint", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "mask_mode" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "rtf"])
+    def test_non_finite_checkpoint_tensor_is_runtime_error(self, workdir, tmp_path,
+                                                           capsys, command):
+        """A checkpoint holding a NaN would score NaN for every mode."""
+        params, cfg, pipeline = load_checkpoint(workdir["run"] / "model.ckpt")
+        params["head.b"] = np.full_like(params["head.b"], np.nan)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, params, cfg, pipeline)
+        out = tmp_path / "out"
+        extra = ["--json", str(out)] if command == "evaluate" else ["--out", str(out)]
+        rc = main([command, "--corpus", str(workdir["corpus"]), "--checkpoint", str(bad),
+                   *extra])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: tensor head.b" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", ["no_pipeline", "no_norm_stats"])
     def test_checkpoint_without_contract_is_runtime_error(self, workdir, tmp_path,

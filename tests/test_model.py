@@ -38,7 +38,7 @@ class TestConfig:
         {"rank": 9},
         {"dropout": 1.0},
         {"rul_cap": 0.0},
-        {"mask_mode": "other"},
+        {"d_model": 9, "heads": 3, "rank": None},
         {"band_width": -1},
     ])
     def test_invalid_configs_rejected(self, kwargs):
@@ -196,9 +196,8 @@ class TestForward:
             backward(params, TINY, cache, np.ones_like(preds))
 
     @pytest.mark.parametrize("b", [1, 7, 70])
-    @pytest.mark.parametrize("overrides", [{}, {"rank": None}, {"mask_mode": "hadamard"},
-                                           {"n_global": 0}],
-                             ids=["default", "dense", "hadamard", "no_globals"])
+    @pytest.mark.parametrize("overrides", [{}, {"rank": None}, {"n_global": 0}],
+                             ids=["default", "dense", "no_globals"])
     def test_inference_loop_equals_training_loop(self, overrides, b):
         """Inference runs its own block loop; without dropout it computes
         exactly what the training loop computes."""
@@ -209,15 +208,6 @@ class TestForward:
         inference, _ = forward(params, cfg, values, desc)
         training, _ = forward(params, cfg, values, desc, train=True)
         np.testing.assert_array_equal(inference, training)
-
-    def test_mask_mode_changes_output(self):
-        rng = np.random.default_rng(8)
-        params = init_params(TINY, rng)
-        values, desc = make_batch(TINY, rng)
-        p_inf, _ = forward(params, TINY, values, desc)
-        cfg_h = SlatConfig(**{**TINY.to_dict(), "mask_mode": "hadamard"})
-        p_had, _ = forward(params, cfg_h, values, desc)
-        assert not np.allclose(p_inf, p_had)
 
 
 class TestBackward:
@@ -234,9 +224,8 @@ class TestBackward:
 
     @pytest.mark.parametrize("overrides", [
         {"rank": None},
-        {"mask_mode": "hadamard"},
         {"n_global": 0},
-    ], ids=["dense", "hadamard", "no_globals"])
+    ], ids=["dense", "no_globals"])
     def test_every_backward_branch_matches_finite_differences(self, overrides):
         result = check_model_gradients(replace(TINY_CONFIG, **overrides), seed=0,
                                        threshold=1e-3)
