@@ -68,36 +68,38 @@ def layer_norm_backward(gy: np.ndarray, cache):
 
 
 def gelu(x: np.ndarray):
-    """Exact GELU, ``x * Phi(x)`` with Phi the standard normal CDF."""
+    """Exact GELU, ``x * Phi(x)`` with Phi the standard normal CDF. The cache
+    is the slope ``Phi(x) + x * pdf(x)``, so neither x nor Phi is kept."""
     phi = ndtr(x)
-    return x * phi, (x, phi)
+    slope = np.multiply(x, -0.5)
+    slope *= x
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT2PI
+    slope *= x
+    slope += phi
+    return np.multiply(phi, x, out=phi), slope
 
 
-def gelu_backward(gy: np.ndarray, cache):
-    """gy * (Phi(x) + x * pdf(x)), one fresh array updated in place."""
-    x, phi = cache
-    g = np.multiply(x, -0.5)
-    g *= x
-    np.exp(g, out=g)
-    g *= _INV_SQRT2PI
-    g *= x
-    g += phi
-    g *= gy
-    return g
+def gelu_backward(gy: np.ndarray, slope):
+    return gy * slope
 
 
 def dropout(x: np.ndarray, rate: float, rng: np.random.Generator):
-    """Inverted dropout; identity when rate == 0."""
+    """Inverted dropout; identity when rate == 0. Cached: the bool keep mask
+    and 1 / (1 - rate). The map is diagonal, so both passes apply it alike."""
     if rate <= 0.0:
         return x, None
-    keep = np.where(rng.random(x.shape) >= rate, 1.0 / (1.0 - rate), 0.0)
-    return x * keep, keep
+    cache = (rng.random(x.shape) >= rate, 1.0 / (1.0 - rate))
+    return dropout_backward(x, cache), cache
 
 
-def dropout_backward(gy: np.ndarray, keep):
-    if keep is None:
+def dropout_backward(gy: np.ndarray, cache):
+    """gy times scale where kept and 0 where dropped, in a fresh array; gy if no cache."""
+    if cache is None:
         return gy
-    return gy * keep
+    g = np.where(cache[0], cache[1], 0.0)
+    g *= gy
+    return g
 
 
 @functools.lru_cache(maxsize=16)

@@ -12,8 +12,11 @@ Parameters live in a flat ``dict[str, np.ndarray]`` so the optimizer,
 checkpointing and gradient checking can treat the model as a named tensor
 collection. A training forward (``train=True``) returns a cache consumed by
 :func:`backward`, which produces a gradient dict with exactly the same keys.
-An inference forward runs its own block loop, the same operations without
-dropout or caches, so its peak memory is one block's activations.
+Per block the cache keeps both layer norms' xhat, the attention cache, two
+bool dropout masks and the FFN's GELU output and slope; backward rebuilds the
+LN2 output from its xhat. An inference forward runs its own block loop, the
+same operations without dropout or caches, so its peak memory is one block's
+activations.
 """
 
 from __future__ import annotations
@@ -211,39 +214,34 @@ def _block_forward(x, mem, params, cfg: SlatConfig, prefix, mask, rng):
     x1, drop1 = layers.dropout(attn_out, cfg.dropout, rng)
     x1 += x  # dropout's output is fresh and no cache holds it
     h2, ln2c = layers.layer_norm(x1, params[f"{prefix}ln2.g"], params[f"{prefix}ln2.b"])
-    f1, lin1c = layers.linear(h2, params[f"{prefix}ffn.w1"], params[f"{prefix}ffn.b1"])
-    g1, geluc = layers.gelu(f1)
+    f1, _ = layers.linear(h2, params[f"{prefix}ffn.w1"], params[f"{prefix}ffn.b1"])
+    g1, slope = layers.gelu(f1)
     f2, lin2c = layers.linear(g1, params[f"{prefix}ffn.w2"], params[f"{prefix}ffn.b2"])
     x2, drop2 = layers.dropout(f2, cfg.dropout, rng)
     x2 += x1
-    return x2, (ln1c, mhac, drop1, ln2c, lin1c, geluc, lin2c, drop2, mem is not None)
+    return x2, (ln1c, mhac, drop1, ln2c, slope, lin2c, drop2, mem is not None)
 
 
-def _block_backward(gy, cache, prefix, grads):
+def _block_backward(gy, cache, params, p, grads):
     """Returns (gx, gmem); gmem is None for self-attention blocks."""
-    ln1c, mhac, drop1, ln2c, lin1c, geluc, lin2c, drop2, is_cross = cache
+    ln1c, mhac, drop1, ln2c, slope, lin2c, drop2, is_cross = cache
     g_f2 = layers.dropout_backward(gy, drop2)
-    g_g1, gw2, gb2 = layers.linear_backward(g_f2, lin2c)
-    grads[f"{prefix}ffn.w2"] = gw2
-    grads[f"{prefix}ffn.b2"] = gb2
-    g_f1 = layers.gelu_backward(g_g1, geluc)
-    g_h2, gw1, gb1 = layers.linear_backward(g_f1, lin1c)
-    grads[f"{prefix}ffn.w1"] = gw1
-    grads[f"{prefix}ffn.b1"] = gb1
-    g_x1, gg2, gb_ln2 = layers.layer_norm_backward(g_h2, ln2c)
-    grads[f"{prefix}ln2.g"] = gg2
-    grads[f"{prefix}ln2.b"] = gb_ln2
+    g_g1, grads[f"{p}ffn.w2"], grads[f"{p}ffn.b2"] = layers.linear_backward(g_f2, lin2c)
+    g_f1 = layers.gelu_backward(g_g1, slope)
+    h2 = ln2c[0] * ln2c[2]  # the FFN input, rebuilt from xhat as layer_norm made it
+    h2 += params[f"{p}ln2.b"]
+    g_h2, grads[f"{p}ffn.w1"], grads[f"{p}ffn.b1"] = layers.linear_backward(
+        g_f1, (h2.reshape(-1, h2.shape[-1]), params[f"{p}ffn.w1"]))
+    g_x1, grads[f"{p}ln2.g"], grads[f"{p}ln2.b"] = layers.layer_norm_backward(g_h2, ln2c)
     g_x1 += gy
 
     g_attn = layers.dropout_backward(g_x1, drop1)
     g_h1_q, g_kv, attn_grads = mha_backward(g_attn, mhac)
     for key, val in attn_grads.items():
-        grads[f"{prefix}attn.{key}"] = val
+        grads[f"{p}attn.{key}"] = val
     g_mem = g_kv if is_cross else None
     g_h1 = g_h1_q if is_cross else np.add(g_h1_q, g_kv, out=g_h1_q)
-    g_x, gg1, gb_ln1 = layers.layer_norm_backward(g_h1, ln1c)
-    grads[f"{prefix}ln1.g"] = gg1
-    grads[f"{prefix}ln1.b"] = gb_ln1
+    g_x, grads[f"{p}ln1.g"], grads[f"{p}ln1.b"] = layers.layer_norm_backward(g_h1, ln1c)
     return np.add(g_x, g_x1, out=g_x), g_mem
 
 
@@ -282,14 +280,14 @@ def _infer_stack(x, mem, params, cfg, name, n_blocks, mask):
     return _norm_inplace(x, params, f"{name}.final_ln"), None
 
 
-def _stack_backward(gy, name, cache, grads):
+def _stack_backward(gy, params, name, cache, grads):
     """Returns (gx, gmem); gmem sums the blocks' memory gradients, None without mem."""
     caches, lnc = cache
     gy, grads[f"{name}.final_ln.g"], grads[f"{name}.final_ln.b"] = \
         layers.layer_norm_backward(gy, lnc)
     gmem = None
     for i in reversed(range(len(caches))):
-        gy, gm = _block_backward(gy, caches[i], f"{name}.{i}.", grads)
+        gy, gm = _block_backward(gy, caches[i], params, f"{name}.{i}.", grads)
         if gm is not None:
             gmem = gm if gmem is None else np.add(gmem, gm, out=gmem)
     return gy, gmem
@@ -354,11 +352,11 @@ def backward(params, cfg: SlatConfig, cache, gpreds) -> dict[str, np.ndarray]:
 
     gq = np.asarray(gpreds, dtype=np.float64).reshape(-1, 1, 1)
     gq, grads["head.w"], grads["head.b"] = layers.linear_backward(gq, head_cache)
-    gq, g_mem = _stack_backward(gq, "decoder", dec_cache, grads)
+    gq, g_mem = _stack_backward(gq, params, "decoder", dec_cache, grads)
     grads["decoder.query"] = gq.sum(axis=(0, 1))
 
-    g_t_tok, _ = _stack_backward(g_mem[:, :n, :], "time_enc", t_enc_cache, grads)
-    g_s_tok, _ = _stack_backward(g_mem[:, n:, :], "sensor_enc", s_enc_cache, grads)
+    g_t_tok, _ = _stack_backward(g_mem[:, :n, :], params, "time_enc", t_enc_cache, grads)
+    g_s_tok, _ = _stack_backward(g_mem[:, n:, :], params, "sensor_enc", s_enc_cache, grads)
     _, grads["time_embed.w"], grads["time_embed.b"] = \
         layers.linear_backward(g_t_tok, t_emb_cache)
     grads["sensor_embed.ident"] = g_s_tok.reshape(-1, *g_s_tok.shape[-2:]).sum(axis=0)

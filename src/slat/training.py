@@ -204,6 +204,7 @@ def train(windows: Windows, model_cfg: SlatConfig,
             except FloatingPointError as exc:
                 raise TrainingDiverged(epoch, b, str(exc)) from exc
             losses.append(loss)
+            del cache, grads  # so no two batches' activations are alive at once
 
         if val is not None:
             val_preds = predict_rul(params, model_cfg, (val.values, val.descriptors))
@@ -214,7 +215,6 @@ def train(windows: Windows, model_cfg: SlatConfig,
                 best_params = _copy_params(params)
         else:
             val_rmse = float("nan")
-            best_params = params
             best_epoch = epoch
         train_loss = float(np.mean(losses))
         history.append(HistoryRow(epoch=epoch, train_loss=train_loss,

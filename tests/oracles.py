@@ -90,6 +90,27 @@ def numeric_gradient(f, x, h=1e-5):
     return grad
 
 
+def retained_bytes(obj, exclude=()):
+    """Bytes of the distinct arrays that own the memory of every array found
+    in nested tuples, lists and dicts of obj; owners of arrays found in
+    ``exclude`` (for example the parameter dict) are left out."""
+    def owners(o, out):
+        if isinstance(o, np.ndarray):
+            while isinstance(o.base, np.ndarray):
+                o = o.base
+            out[id(o)] = o
+        elif isinstance(o, (tuple, list)):
+            for item in o:
+                owners(item, out)
+        elif isinstance(o, dict):
+            for item in o.values():
+                owners(item, out)
+        return out
+
+    skip = owners(exclude, {})
+    return sum(a.nbytes for key, a in owners(obj, {}).items() if key not in skip)
+
+
 # Textbook one-line forms of the layer kernels. The library computes the same
 # operations in the same order with fewer temporaries, so results must be
 # bit-identical (GELU itself excepted: the library uses the normal CDF).

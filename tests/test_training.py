@@ -1,10 +1,11 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import adam_reference
-from slat.model import SlatConfig, init_params
+from oracles import adam_reference, retained_bytes
+from slat.model import SlatConfig, backward, forward, init_params
 from slat.training import (AdamState, TrainConfig, TrainingDiverged,
                            adam_step, clip_gradients, mse_loss,
                            split_by_trajectory, train, write_history)
@@ -191,3 +192,35 @@ class TestHistoryFile:
         assert len(rows) == 2
         assert float(rows[1]["train_loss"]) == res.history[1].train_loss
         assert rows[0]["epoch"] == "0"
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_batch_of_activations_alive_at_a_time():
+    # a batch's cache and grads are released before the next batch's forward,
+    # so an epoch of several batches peaks near one forward+backward, plus the
+    # optimizer state and parameter copies that train() owns
+    cfg = SlatConfig()
+    windows = make_samples(96, cfg=cfg)
+    params = init_params(cfg, np.random.default_rng(0))
+    batch = windows[np.arange(32)]
+
+    def step():
+        preds, cache = forward(params, cfg, batch.values, batch.descriptors,
+                               train=True, rng=np.random.default_rng(1))
+        backward(params, cfg, cache, np.ones_like(preds))
+
+    one_step = _traced_peak(step)
+    _, cache = forward(params, cfg, batch.values, batch.descriptors, train=True,
+                       rng=np.random.default_rng(1))
+    one_cache = retained_bytes(cache, exclude=params)
+    del cache
+    epoch = _traced_peak(lambda: train(windows, cfg, TrainConfig(epochs=1, val_fraction=0.0)))
+    assert epoch - one_step < one_cache, (epoch / 1e6, one_step / 1e6, one_cache / 1e6)
