@@ -38,12 +38,12 @@ def main():
     print(f"{'tokens':>8} {'sparse':>12} {'dense':>12} {'ratio':>7}")
     for length in (10, 30, 60, 120, 240, 480):
         # global tokens are the first n_global positions, as in the model
-        s = int(build_mask(length, cfg.band_width, range(cfg.n_global)).sum()) * e
+        s = int(build_mask(length, cfg.band_width, cfg.n_global).sum()) * e
         f = length * length * e
         print(f"{length:>8} {s:>12,} {f:>12,} {s / f:>7.2%}")
     print()
 
-    mask = build_mask(12, cfg.band_width, range(cfg.n_global))
+    mask = build_mask(12, cfg.band_width, cfg.n_global)
     print("mask pattern at 12 tokens:")
     for row in mask:
         print("".join("1" if allowed else "0" for allowed in row))

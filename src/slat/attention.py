@@ -1,11 +1,11 @@
 """Structured sparse attention with low-rank query/key/value projections.
 
 The attention pattern is a read-only boolean mask combining a diagonal band
-(each token sees neighbours within ``band_width``) with a set of global
-tokens that attend to and are attended by everything. Q/K/V projection
-weights are factored as ``W = U @ V`` with a small inner rank, which cuts the
-parameter count of each projection from ``d_model * d_head`` to
-``r * (d_model + d_head)``.
+(each token sees neighbours within ``band_width``) with global tokens, the
+first ``n_global`` positions, that attend to and are attended by everything.
+Q/K/V projection weights are factored as ``W = U @ V`` with a small inner
+rank, which cuts the parameter count of each projection from
+``d_model * d_head`` to ``r * (d_model + d_head)``.
 
 :func:`mha_forward` and :func:`mha_backward` are the only entry points. Each
 call merges every head's factors into one weight ``u @ v`` (the LoRA merge;
@@ -18,28 +18,23 @@ logits are left out of the softmax, so every masked weight is an exact zero.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 
-def build_mask(length: int, band_width: int, global_tokens: Iterable[int] = ()) -> np.ndarray:
+def build_mask(length: int, band_width: int, n_global: int) -> np.ndarray:
     """Read-only (length, length) bool array: a band of half-width
-    ``band_width`` plus symmetric global rows/columns."""
+    ``band_width`` plus symmetric global rows/columns for the first
+    ``n_global`` positions (all of them if ``n_global >= length``)."""
     if length < 1:
         raise ValueError(f"mask length must be >= 1, got {length}")
     if band_width < 0:
         raise ValueError(f"band_width must be >= 0, got {band_width}")
-    globals_ = frozenset(int(g) for g in global_tokens)
-    for g in globals_:
-        if not 0 <= g < length:
-            raise ValueError(f"global token {g} out of range [0, {length})")
+    if n_global < 0:
+        raise ValueError(f"n_global must be >= 0, got {n_global}")
     idx = np.arange(length)
     dense = np.abs(idx[:, None] - idx[None, :]) <= band_width
-    if globals_:
-        g = np.fromiter(globals_, dtype=int)
-        dense[g, :] = True
-        dense[:, g] = True
+    dense[:n_global] = True
+    dense[:, :n_global] = True
     dense.flags.writeable = False
     return dense
 

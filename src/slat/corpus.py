@@ -70,7 +70,7 @@ def _read_trajectory_csv(path: Path, rec: dict, n_channels: int) -> Trajectory:
     if not np.array_equal(t, np.arange(len(t))):
         num = int(np.argmax(t != np.arange(len(t)))) + 2
         raise ValueError(f"line {num} has t {lines[num - 1].split(',')[0]}, not {num - 2}")
-    return Trajectory(traj_id=rec["id"], mode=FaultMode.from_str(rec["mode"]),
+    return Trajectory(traj_id=rec["id"], mode=FaultMode(rec["mode"]),
                       channels=np.ascontiguousarray(table[:, 1:]),
                       failure_index=rec["failure_index"])
 
@@ -225,7 +225,7 @@ def _check_manifest(manifest) -> None:
     seen = set()
     for rec in manifest["trajectories"]:
         _check_fields(rec, _RECORD_TYPES)
-        FaultMode.from_str(rec["mode"])
+        FaultMode(rec["mode"])
         if rec["split"] not in ("train", "test"):
             raise ValueError(f"split must be 'train' or 'test', got {rec['split']!r:.40}")
         if rec["id"] in seen:

@@ -298,10 +298,8 @@ def _stack_backward(gy, params, name, cache, grads):
 @functools.lru_cache(maxsize=16)
 def masks_for(cfg: SlatConfig) -> tuple[np.ndarray, np.ndarray]:
     """(time mask, sensor mask) of a config as read-only bool arrays; cached."""
-    time_mask = build_mask(cfg.n_stw, cfg.band_width, range(min(cfg.n_global, cfg.n_stw)))
-    sensor_mask = build_mask(cfg.n_channels, cfg.band_width,
-                             range(min(cfg.n_global, cfg.n_channels)))
-    return time_mask, sensor_mask
+    return (build_mask(cfg.n_stw, cfg.band_width, cfg.n_global),
+            build_mask(cfg.n_channels, cfg.band_width, cfg.n_global))
 
 
 def forward(params, cfg: SlatConfig, values, descriptors, *, train=False, rng=None):

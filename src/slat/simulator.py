@@ -20,6 +20,10 @@ Four soft-failure modes drift exactly one hidden parameter each:
 A trajectory ends at the step its mode's failure threshold is crossed.
 Everything is driven by a single seeded generator, so a (config, seed) pair
 reproduces a trajectory bit for bit.
+
+There is one simulated device: its setpoint, pump efficiencies, current
+limit, PI gains and failure limits are module constants, and
+``AmplifierState`` holds only what varies during a run.
 """
 
 from __future__ import annotations
@@ -51,54 +55,28 @@ BASE_NOISE_STD = np.array([0.5, 0.5, 0.2, 0.2, 0.01, 0.01, 0.01, 0.01, 0.25])
 NOISE_BLOCK = 256  # steps of measurement noise drawn per generator call
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
-    """Healthy setpoint of the amplifier and its static device constants."""
+# Device constants of the one simulated amplifier at its healthy setpoint.
+INPUT_POWER_DBM = -6.0
+STAGE1_GAIN_DB = 18.0
+STAGE2_GAIN_DB = 14.0
+VOA_ATTENUATION_DB = 4.0
+PASSIVE_LOSS_DB = 2.0
+GAIN_PER_MW_1 = 0.20   # dB of stage gain per mW of pump power
+GAIN_PER_MW_2 = 0.20
+PUMP_EFF_1 = 0.90      # mW per mA
+PUMP_EFF_2 = 0.85
+I_MAX_MA = 250.0
+CASE_TEMP_C = 45.0
 
-    input_power_dbm: float = -6.0
-    stage1_gain_db: float = 18.0
-    stage2_gain_db: float = 14.0
-    voa_attenuation_db: float = 4.0
-    passive_loss_db: float = 2.0
-    gain_per_mw_1: float = 0.20   # dB of stage gain per mW of pump power
-    gain_per_mw_2: float = 0.20
-    pump_eff_1: float = 0.90      # mW per mA
-    pump_eff_2: float = 0.85
-    i_max_ma: float = 250.0
-    case_temp_c: float = 45.0
+NOMINAL_CURRENT_1 = STAGE1_GAIN_DB / (GAIN_PER_MW_1 * PUMP_EFF_1)
+NOMINAL_CURRENT_2 = STAGE2_GAIN_DB / (GAIN_PER_MW_2 * PUMP_EFF_2)
+STAGE1_TARGET_DB = STAGE1_GAIN_DB - VOA_ATTENUATION_DB  # held interstage - input
+STAGE2_TARGET_DB = STAGE2_GAIN_DB - PASSIVE_LOSS_DB     # held output - interstage
 
-    @property
-    def nominal_current_1(self) -> float:
-        return self.stage1_gain_db / (self.gain_per_mw_1 * self.pump_eff_1)
+KP, KI = 1.0, 8.0  # incremental PI gains in mA per dB of gain error
 
-    @property
-    def nominal_current_2(self) -> float:
-        return self.stage2_gain_db / (self.gain_per_mw_2 * self.pump_eff_2)
-
-    @property
-    def stage1_target_db(self) -> float:
-        """Held reading difference interstage - input."""
-        return self.stage1_gain_db - self.voa_attenuation_db
-
-    @property
-    def stage2_target_db(self) -> float:
-        """Held reading difference output - interstage."""
-        return self.stage2_gain_db - self.passive_loss_db
-
-
-@dataclass(frozen=True)
-class ControllerConfig:
-    """Incremental PI gains in mA per dB of gain error."""
-
-    kp: float = 1.0
-    ki: float = 8.0
-
-
-@dataclass(frozen=True)
-class FailureThresholds:
-    pd_bias_limit_db: float = 3.0
-    voa_error_limit_db: float = 3.0
-    passive_loss_limit_db: float = 3.0
+# a drifted parameter fails at this many dB (bias, VOA error, added loss)
+FAILURE_LIMIT_DB = 3.0
 
 
 # per-step drift magnitude that reaches the failure threshold near step 400
@@ -117,9 +95,6 @@ class SimConfig:
     noise_scale: float = 1.0
     n_trajectories: int = 10
     max_steps: int = 10000
-    op: OperatingPoint = OperatingPoint()
-    ctrl: ControllerConfig = ControllerConfig()
-    thresholds: FailureThresholds = FailureThresholds()
 
     def __post_init__(self):
         lo, hi = self.rate_bounds
@@ -144,110 +119,86 @@ class SimConfig:
 
 @dataclass
 class AmplifierState:
-    """Actuator state, hidden degradation parameters and last readings."""
+    """What changes during a run: pump currents, hidden degradation
+    parameters, last readings and the PI loops' previous errors."""
 
     pump_current_1: float
     pump_current_2: float
-    pump_eff_1: float
-    pump_eff_2: float
-    voa_commanded: float
-    voa_error: float
-    passive_loss: float
-    pd2_bias: float
-    input_power: float
-    case_temperature: float
-    target_gain_1: float
-    target_gain_2: float
+    pump_eff_1: float = PUMP_EFF_1
+    voa_error: float = 0.0
+    passive_loss: float = PASSIVE_LOSS_DB
+    pd2_bias: float = 0.0
     e1_prev: float = 0.0
     e2_prev: float = 0.0
     r1: float = 0.0
     r2: float = 0.0
     r3: float = 0.0
 
-    @property
-    def target_gain(self) -> float:
-        """Overall held reading gain, output over input."""
-        return self.target_gain_1 + self.target_gain_2
-
-    def true_powers(self, op: OperatingPoint) -> tuple[float, float]:
+    def true_powers(self) -> tuple[float, float]:
         """Noise-free optical power (dBm) at the interstage and output taps;
         each stage's gain in dB is linear in its pump power."""
-        g1 = op.gain_per_mw_1 * self.pump_current_1 * self.pump_eff_1
-        g2 = op.gain_per_mw_2 * self.pump_current_2 * self.pump_eff_2
-        inter = self.input_power + g1 - (self.voa_commanded + self.voa_error)
+        g1 = GAIN_PER_MW_1 * self.pump_current_1 * self.pump_eff_1
+        g2 = GAIN_PER_MW_2 * self.pump_current_2 * PUMP_EFF_2
+        inter = INPUT_POWER_DBM + g1 - (VOA_ATTENUATION_DB + self.voa_error)
         out = inter - self.passive_loss + g2
         return inter, out
 
 
-def init_state(op: OperatingPoint) -> AmplifierState:
+def init_state() -> AmplifierState:
     """Healthy steady state; previous readings seeded so the first control
     step sees zero error."""
-    state = AmplifierState(
-        pump_current_1=op.nominal_current_1,
-        pump_current_2=op.nominal_current_2,
-        pump_eff_1=op.pump_eff_1,
-        pump_eff_2=op.pump_eff_2,
-        voa_commanded=op.voa_attenuation_db,
-        voa_error=0.0,
-        passive_loss=op.passive_loss_db,
-        pd2_bias=0.0,
-        input_power=op.input_power_dbm,
-        case_temperature=op.case_temp_c,
-        target_gain_1=op.stage1_target_db,
-        target_gain_2=op.stage2_target_db,
-    )
-    inter, out = state.true_powers(op)
-    state.r1 = state.input_power
+    state = AmplifierState(NOMINAL_CURRENT_1, NOMINAL_CURRENT_2)
+    inter, out = state.true_powers()
+    state.r1 = INPUT_POWER_DBM
     state.r2 = inter + state.pd2_bias
     state.r3 = out
     return state
 
 
-def inject_drift(state: AmplifierState, mode: FaultMode, t: int, rate: float,
-                 op: OperatingPoint) -> AmplifierState:
+def inject_drift(state: AmplifierState, mode: FaultMode, t: int, rate: float) -> AmplifierState:
     """Set the selected mode's degradation parameter for step t (exact in t)."""
     if t < 0:
         raise ValueError("t must be >= 0")
     if mode is FaultMode.PumpLaser:
-        state.pump_eff_1 = op.pump_eff_1 * math.exp(-rate * t)
+        state.pump_eff_1 = PUMP_EFF_1 * math.exp(-rate * t)
     elif mode is FaultMode.PowerDetector:
         state.pd2_bias = -rate * t
     elif mode is FaultMode.VOA:
         state.voa_error = rate * t
     elif mode is FaultMode.PassiveComponents:
-        state.passive_loss = op.passive_loss_db + rate * t
+        state.passive_loss = PASSIVE_LOSS_DB + rate * t
     return state
 
 
-def agc_step(state: AmplifierState, ctrl: ControllerConfig, op: OperatingPoint) -> AmplifierState:
+def agc_step(state: AmplifierState) -> AmplifierState:
     """One incremental PI update of both pump currents from the last readings,
-    clamped to [0, i_max]."""
-    e1 = state.target_gain_1 - (state.r2 - state.r1)
-    e2 = state.target_gain_2 - (state.r3 - state.r2)
-    state.pump_current_1 = min(op.i_max_ma, max(
-        0.0, state.pump_current_1 + ctrl.kp * (e1 - state.e1_prev) + ctrl.ki * e1))
-    state.pump_current_2 = min(op.i_max_ma, max(
-        0.0, state.pump_current_2 + ctrl.kp * (e2 - state.e2_prev) + ctrl.ki * e2))
+    clamped to [0, I_MAX_MA]."""
+    e1 = STAGE1_TARGET_DB - (state.r2 - state.r1)
+    e2 = STAGE2_TARGET_DB - (state.r3 - state.r2)
+    state.pump_current_1 = min(I_MAX_MA, max(
+        0.0, state.pump_current_1 + KP * (e1 - state.e1_prev) + KI * e1))
+    state.pump_current_2 = min(I_MAX_MA, max(
+        0.0, state.pump_current_2 + KP * (e2 - state.e2_prev) + KI * e2))
     state.e1_prev = e1
     state.e2_prev = e2
     return state
 
 
-def observe(state: AmplifierState, op: OperatingPoint, noise=None) -> list:
+def observe(state: AmplifierState, noise=None) -> list:
     """Record one channel row and retain the power readings for the next
     control step. ``noise`` holds the row's measurement noise, one value per
     channel; with noise=None the observation is noise-free."""
-    inter, out = state.true_powers(op)
+    inter, out = state.true_powers()
     noise = (0.0,) * N_CHANNELS if noise is None else noise
     p1 = state.pump_current_1 * state.pump_eff_1
-    p2 = state.pump_current_2 * state.pump_eff_2
-    r1 = state.input_power + noise[4]
+    p2 = state.pump_current_2 * PUMP_EFF_2
+    r1 = INPUT_POWER_DBM + noise[4]
     r2 = inter + state.pd2_bias + noise[5]
     r3 = out + noise[6]
     state.r1, state.r2, state.r3 = r1, r2, r3
     return [state.pump_current_1 + noise[0], state.pump_current_2 + noise[1],
             p1 + noise[2], p2 + noise[3], r1, r2, r3,
-            state.voa_commanded + noise[7], state.case_temperature + noise[8]]
+            VOA_ATTENUATION_DB + noise[7], CASE_TEMP_C + noise[8]]
 
 
 def _noise_rows(rng: np.random.Generator, noise_std: np.ndarray):
@@ -257,15 +208,14 @@ def _noise_rows(rng: np.random.Generator, noise_std: np.ndarray):
         yield from (rng.standard_normal((NOISE_BLOCK, N_CHANNELS)) * noise_std).tolist()
 
 
-def _crossed(state: AmplifierState, cfg: SimConfig) -> bool:
-    th = cfg.thresholds
-    if cfg.mode is FaultMode.PumpLaser:
-        return state.pump_current_1 >= cfg.op.i_max_ma
-    if cfg.mode is FaultMode.PowerDetector:
-        return abs(state.pd2_bias) >= th.pd_bias_limit_db
-    if cfg.mode is FaultMode.VOA:
-        return abs(state.voa_error) >= th.voa_error_limit_db
-    return state.passive_loss - cfg.op.passive_loss_db >= th.passive_loss_limit_db
+def _crossed(state: AmplifierState, mode: FaultMode) -> bool:
+    if mode is FaultMode.PumpLaser:
+        return state.pump_current_1 >= I_MAX_MA
+    if mode is FaultMode.PowerDetector:
+        return abs(state.pd2_bias) >= FAILURE_LIMIT_DB
+    if mode is FaultMode.VOA:
+        return abs(state.voa_error) >= FAILURE_LIMIT_DB
+    return state.passive_loss - PASSIVE_LOSS_DB >= FAILURE_LIMIT_DB
 
 
 @dataclass
@@ -282,16 +232,15 @@ class SimInternals:
     current_1: list = field(default_factory=list)
     current_2: list = field(default_factory=list)
 
-    def record(self, state: AmplifierState, op: OperatingPoint):
-        inter, out = state.true_powers(op)
+    def record(self, state: AmplifierState):
+        inter, out = state.true_powers()
         self.pump_eff_1.append(state.pump_eff_1)
         self.pd2_bias.append(state.pd2_bias)
         self.voa_error.append(state.voa_error)
         self.passive_loss.append(state.passive_loss)
         # true (noise-free) gain error per stage, before detector bias
-        self.gain_error_1.append(
-            state.target_gain_1 - ((inter - state.input_power)))
-        self.gain_error_2.append(state.target_gain_2 - (out - inter))
+        self.gain_error_1.append(STAGE1_TARGET_DB - ((inter - INPUT_POWER_DBM)))
+        self.gain_error_2.append(STAGE2_TARGET_DB - (out - inter))
         self.current_1.append(state.pump_current_1)
         self.current_2.append(state.pump_current_2)
 
@@ -310,18 +259,18 @@ def simulate_trajectory(cfg: SimConfig, seed, traj_id: str | None = None,
     """
     rng = np.random.default_rng(seed)
     rate = draw_drift_rate(cfg, rng)
-    state = init_state(cfg.op)
+    state = init_state()
     noise_rows = (_noise_rows(rng, cfg.noise_std) if cfg.noise_scale > 0
                   else itertools.repeat(None))
     internals = SimInternals(drift_rate=rate)
     rows = []
     for t, noise in zip(range(cfg.max_steps), noise_rows):
-        inject_drift(state, cfg.mode, t, rate, cfg.op)
-        agc_step(state, cfg.ctrl, cfg.op)
-        rows.append(observe(state, cfg.op, noise))
+        inject_drift(state, cfg.mode, t, rate)
+        agc_step(state)
+        rows.append(observe(state, noise))
         if with_internals:
-            internals.record(state, cfg.op)
-        if _crossed(state, cfg):
+            internals.record(state)
+        if _crossed(state, cfg.mode):
             traj = Trajectory(
                 traj_id=traj_id or f"{cfg.mode.value}_{rate:.6g}",
                 mode=cfg.mode,

@@ -27,13 +27,6 @@ class FaultMode(enum.Enum):
     VOA = "VOA"
     PassiveComponents = "PC"
 
-    @classmethod
-    def from_str(cls, s: str) -> "FaultMode":
-        for m in cls:
-            if m.value == s or m.name == s:
-                return m
-        raise ValueError(f"unknown fault mode {s!r}")
-
 
 @dataclass(frozen=True)
 class Trajectory:

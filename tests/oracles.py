@@ -173,34 +173,34 @@ def single_head_weights(mats):
 # in blocks and writes and parses whole files; its corpora must be bit- and
 # byte-identical. The simulator's step functions themselves are the library's.
 
-def observe_reference(state, op, noise_std, rng):
+def observe_reference(state, noise_std, rng):
     """One channel row, with its noise drawn for this step alone."""
-    inter, out = state.true_powers(op)
+    inter, out = state.true_powers()
     noise = rng.standard_normal(len(noise_std)) * noise_std if rng is not None else np.zeros(9)
-    r1 = state.input_power + noise[4]
+    r1 = sim.INPUT_POWER_DBM + noise[4]
     r2 = inter + state.pd2_bias + noise[5]
     r3 = out + noise[6]
     state.r1, state.r2, state.r3 = r1, r2, r3
     return np.array([state.pump_current_1 + noise[0], state.pump_current_2 + noise[1],
                      state.pump_current_1 * state.pump_eff_1 + noise[2],
-                     state.pump_current_2 * state.pump_eff_2 + noise[3], r1, r2, r3,
-                     state.voa_commanded + noise[7], state.case_temperature + noise[8]])
+                     state.pump_current_2 * sim.PUMP_EFF_2 + noise[3], r1, r2, r3,
+                     sim.VOA_ATTENUATION_DB + noise[7], sim.CASE_TEMP_C + noise[8]])
 
 
 def simulate_trajectory_reference(cfg, seed):
     """Channels ``(T, 9)`` and per-step internals of one run to failure."""
     rng = np.random.default_rng(seed)
     rate = sim.draw_drift_rate(cfg, rng)
-    state = sim.init_state(cfg.op)
+    state = sim.init_state()
     internals = sim.SimInternals(drift_rate=rate)
     rows = []
     for t in range(cfg.max_steps):
-        sim.inject_drift(state, cfg.mode, t, rate, cfg.op)
-        sim.agc_step(state, cfg.ctrl, cfg.op)
-        rows.append(observe_reference(state, cfg.op, cfg.noise_std,
+        sim.inject_drift(state, cfg.mode, t, rate)
+        sim.agc_step(state)
+        rows.append(observe_reference(state, cfg.noise_std,
                                       rng if cfg.noise_scale > 0 else None))
-        internals.record(state, cfg.op)
-        if sim._crossed(state, cfg):
+        internals.record(state)
+        if sim._crossed(state, cfg.mode):
             return np.asarray(rows), internals
     raise RuntimeError("failure threshold not reached")
 

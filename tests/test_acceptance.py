@@ -70,7 +70,7 @@ def test_full_mask_and_fullrank_factors_recover_dense_attention():
         x = rng.normal(size=(length, d_model))
         mats = [rng.normal(size=(d_model, d_head)) / np.sqrt(d_model)
                 for _ in range(3)]
-        mask = build_mask(length, band_width=length - 1)
+        mask = build_mask(length, band_width=length - 1, n_global=0)
         out, cache = mha_forward(x[None], x[None], single_head_weights(mats), mask)
         attn = cache[8][0, 0]  # the cache's attention weights, (B, H, L, L)
         want_out, want_w = dense_attention_reference(
@@ -85,7 +85,7 @@ def test_full_mask_and_fullrank_factors_recover_dense_attention():
 def test_mask_gives_exact_zeros_and_stochastic_rows():
     """Off-mask attention weights are exactly zero, rows sum to 1 +- 1e-9,
     and the 5-token band-1 single-global pattern has 19 allowed pairs."""
-    reference = build_mask(5, band_width=1, global_tokens=(0,))
+    reference = build_mask(5, band_width=1, n_global=1)
     assert int(reference.sum()) == 19
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(3,)))
@@ -93,7 +93,7 @@ def test_mask_gives_exact_zeros_and_stochastic_rows():
     for _ in range(50):
         length = int(rng.integers(2, 40))
         mask = build_mask(length, int(rng.integers(0, 4)),
-                          range(int(rng.integers(0, min(3, length) + 1))))
+                          int(rng.integers(0, min(3, length) + 1)))
         logits = rng.normal(scale=5.0, size=(length, length))
         weights = masked_softmax(logits, mask)
         assert np.all(weights[~mask] == 0.0)

@@ -113,6 +113,8 @@ CORPUS_CORRUPTIONS = {
     "non_numeric_value": _edit_lines(  # line 6 holds t = 4; its ch_0 becomes abc
         6, lambda lines: lines[:5] + ["4,abc," + lines[5].split(",", 2)[2]] + lines[6:]),
     "swapped_rows": _edit_lines(4, lambda lines: lines[:3] + lines[4:2:-1] + lines[5:]),
+    "unknown_mode": _edit_manifest(lambda m: {**m, "trajectories": [  # a name, not a value
+        {**m["trajectories"][0], "mode": "PumpLaser"}, *m["trajectories"][1:]]}),
 }
 
 

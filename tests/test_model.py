@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import numeric_gradient, retained_bytes
+from oracles import naive_band_global_grid, numeric_gradient, retained_bytes
 from slat import layers
-from slat.attention import build_mask
 from slat.gradcheck import TINY_CONFIG, check_model_gradients, relative_error
 from slat.model import (SlatConfig, _embed_sensor, _embed_time, backward,
                         forward, init_params, masks_for, param_count,
@@ -122,7 +121,7 @@ class TestMasks:
         t_mask, s_mask = masks_for(TINY)
         assert t_mask.shape == (TINY.n_stw, TINY.n_stw)
         assert s_mask.shape == (TINY.n_channels, TINY.n_channels)
-        want = build_mask(TINY.n_stw, TINY.band_width, range(TINY.n_global))
+        want = naive_band_global_grid(TINY.n_stw, TINY.band_width, range(TINY.n_global))
         np.testing.assert_array_equal(t_mask, want)
 
     def test_globals_clamped_to_short_sequences(self):

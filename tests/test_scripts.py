@@ -1,5 +1,6 @@
 """Smoke tests of the command-line scripts under ``scripts/``."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -30,3 +31,23 @@ def test_complexity_report_runs_with_defaults(monkeypatch, capsys):
     grid = out.split("mask pattern at 12 tokens:\n", 1)[1].split()
     assert grid == ["".join("1" if v else "0" for v in row)
                     for row in naive_band_global_grid(12, 2, {0, 1})]
+
+
+def test_src_budget_runs_and_counts(capsys):
+    """``main()`` prints the library's line count as ``wc -l`` would, and
+    the counter sees every kind of settable value once."""
+    module = _load("src_budget")
+    module.main()
+    out = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    files = sorted((SCRIPTS.parent / "src" / "slat").glob("*.py"))
+    assert int(out["src_lines"]) == sum(f.read_text().count("\n") for f in files)
+    assert int(out["settable_values"]) > 0
+    sample = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class C:\n"
+        "    a: int\n"
+        "    b: int = 1\n"
+        "    c: ClassVar[int] = 2\n"
+        "def f(x, y=1, *, z=2, w):\n"
+        "    p.add_argument('--q')\n")
+    assert module.settable_values(sample) == 5  # a, b, y, z, --q

@@ -2,15 +2,13 @@ import numpy as np
 import oracles
 import pytest
 
-from slat.simulator import (BASE_NOISE_STD, CHANNELS, MODE_BASE_RATE, NOISE_BLOCK,
-                            ControllerConfig, FailureThresholds,
-                            OperatingPoint, SimConfig, agc_step,
+from slat.simulator import (BASE_NOISE_STD, CHANNELS, FAILURE_LIMIT_DB, I_MAX_MA,
+                            MODE_BASE_RATE, NOISE_BLOCK, NOMINAL_CURRENT_1,
+                            NOMINAL_CURRENT_2, PASSIVE_LOSS_DB, PUMP_EFF_1,
+                            STAGE1_TARGET_DB, STAGE2_TARGET_DB, SimConfig, agc_step,
                             draw_drift_rate, init_state, inject_drift,
                             observe, simulate_trajectory, trajectory_seed)
 from slat.windowing import FaultMode
-
-OP = OperatingPoint()
-CTRL = ControllerConfig()
 
 # channel indices
 I1, I2, P1, P2, R1, R2, R3, VOA_SET, TEMP = range(9)
@@ -24,18 +22,18 @@ def base_cfg(mode, **kw):
 
 class TestSteadyState:
     def test_nominal_currents(self):
-        assert OP.nominal_current_1 == pytest.approx(100.0)
-        assert OP.nominal_current_2 == pytest.approx(14.0 / (0.20 * 0.85))
+        assert NOMINAL_CURRENT_1 == pytest.approx(100.0)
+        assert NOMINAL_CURRENT_2 == pytest.approx(14.0 / (0.20 * 0.85))
 
     def test_initial_readings_hit_targets(self):
-        state = init_state(OP)
-        assert state.r2 - state.r1 == pytest.approx(OP.stage1_target_db, abs=1e-12)
-        assert state.r3 - state.r2 == pytest.approx(OP.stage2_target_db, abs=1e-12)
-        assert state.target_gain == pytest.approx(26.0)
+        state = init_state()
+        assert state.r2 - state.r1 == pytest.approx(STAGE1_TARGET_DB, abs=1e-12)
+        assert state.r3 - state.r2 == pytest.approx(STAGE2_TARGET_DB, abs=1e-12)
+        assert state.r3 - state.r1 == pytest.approx(26.0)
 
     def test_observe_noise_free_row_layout(self):
-        state = init_state(OP)
-        row = observe(state, OP)
+        state = init_state()
+        row = observe(state)
         assert len(row) == len(CHANNELS)
         assert row[I1] == pytest.approx(100.0)
         assert row[R1] == pytest.approx(-6.0)
@@ -47,30 +45,30 @@ class TestSteadyState:
 class TestController:
     def test_no_move_at_equilibrium(self):
         # modeled gain equals target -> currents unchanged
-        state = init_state(OP)
+        state = init_state()
         i1, i2 = state.pump_current_1, state.pump_current_2
-        agc_step(state, CTRL, OP)
+        agc_step(state)
         assert state.pump_current_1 == pytest.approx(i1, abs=1e-12)
         assert state.pump_current_2 == pytest.approx(i2, abs=1e-12)
 
     def test_efficiency_halved_doubles_current(self):
         # drop stage-1 efficiency to half and iterate noise-free until the
         # loop settles: the current must land at twice nominal
-        state = init_state(OP)
-        state.pump_eff_1 = OP.pump_eff_1 / 2.0
+        state = init_state()
+        state.pump_eff_1 = PUMP_EFF_1 / 2.0
         for _ in range(200):
-            agc_step(state, CTRL, OP)
-            observe(state, OP)
+            agc_step(state)
+            observe(state)
         assert state.pump_current_1 == pytest.approx(200.0, abs=1e-6)
-        assert state.pump_current_2 == pytest.approx(OP.nominal_current_2, abs=1e-6)
+        assert state.pump_current_2 == pytest.approx(NOMINAL_CURRENT_2, abs=1e-6)
 
     def test_saturation_clamps_at_limit(self):
-        state = init_state(OP)
-        state.pump_eff_1 = OP.pump_eff_1 / 10.0  # would need 1000 mA
+        state = init_state()
+        state.pump_eff_1 = PUMP_EFF_1 / 10.0  # would need 1000 mA
         for _ in range(300):
-            agc_step(state, CTRL, OP)
-            observe(state, OP)
-        assert state.pump_current_1 == OP.i_max_ma
+            agc_step(state)
+            observe(state)
+        assert state.pump_current_1 == I_MAX_MA
 
     def test_tracking_error_stays_in_band_noise_free(self):
         # |gain error| < 0.1 dB after settling while unsaturated, checked on
@@ -80,7 +78,7 @@ class TestController:
             cfg = base_cfg(mode, noise_scale=0.0)
             traj, ints = simulate_trajectory(cfg, 0, with_internals=True)
             i1 = np.array(ints.current_1)
-            sel = (i1 < OP.i_max_ma)
+            sel = (i1 < I_MAX_MA)
             sel[:50] = False
             assert np.abs(np.array(ints.gain_error_1))[sel].max() < 0.1, mode
             assert np.abs(np.array(ints.gain_error_2))[sel].max() < 0.1, mode
@@ -95,24 +93,24 @@ class TestController:
 class TestDrift:
     def test_step_zero_leaves_state_healthy(self):
         for mode in FaultMode:
-            state = init_state(OP)
-            inject_drift(state, mode, 0, 0.01, OP)
-            assert state.pump_eff_1 == OP.pump_eff_1
+            state = init_state()
+            inject_drift(state, mode, 0, 0.01)
+            assert state.pump_eff_1 == PUMP_EFF_1
             assert state.pd2_bias == 0.0
             assert state.voa_error == 0.0
-            assert state.passive_loss == OP.passive_loss_db
+            assert state.passive_loss == PASSIVE_LOSS_DB
 
     def test_drift_is_exact_in_t(self):
-        state = init_state(OP)
-        inject_drift(state, FaultMode.PumpLaser, 100, 0.002, OP)
-        assert state.pump_eff_1 == pytest.approx(OP.pump_eff_1 * np.exp(-0.2))
+        state = init_state()
+        inject_drift(state, FaultMode.PumpLaser, 100, 0.002)
+        assert state.pump_eff_1 == pytest.approx(PUMP_EFF_1 * np.exp(-0.2))
         # absolute-time form: re-applying the same t is idempotent
-        inject_drift(state, FaultMode.PumpLaser, 100, 0.002, OP)
-        assert state.pump_eff_1 == pytest.approx(OP.pump_eff_1 * np.exp(-0.2))
+        inject_drift(state, FaultMode.PumpLaser, 100, 0.002)
+        assert state.pump_eff_1 == pytest.approx(PUMP_EFF_1 * np.exp(-0.2))
 
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
-            inject_drift(init_state(OP), FaultMode.VOA, -1, 0.01, OP)
+            inject_drift(init_state(), FaultMode.VOA, -1, 0.01)
 
     def test_rate_drawn_within_bounds(self):
         cfg = SimConfig(mode=FaultMode.VOA)
@@ -124,11 +122,22 @@ class TestDrift:
 
 class TestTrajectories:
     def test_failure_is_last_step(self):
-        cfg = base_cfg(FaultMode.PowerDetector)
-        traj = simulate_trajectory(cfg, 5)
-        assert traj.failure_index == traj.n_steps - 1
-        assert traj.channels.shape[1] == len(CHANNELS)
-        assert np.all(np.isfinite(traj.channels))
+        # the run stops at the first step whose hidden parameter reaches its
+        # failure limit; the limits are spelled out so a mistyped constant fails
+        for mode in FaultMode:
+            traj, ints = simulate_trajectory(base_cfg(mode), 5, with_internals=True)
+            crossed = {
+                FaultMode.PumpLaser: np.array(ints.current_1) >= 250.0,
+                FaultMode.PowerDetector: np.abs(ints.pd2_bias) >= 3.0,
+                FaultMode.VOA: np.array(ints.voa_error) >= 3.0,
+                FaultMode.PassiveComponents: np.array(ints.passive_loss) - 2.0 >= 3.0,
+            }[mode]
+            assert len(crossed) == traj.n_steps, mode
+            assert traj.failure_index == traj.n_steps - 1, mode
+            assert np.argmax(crossed) == traj.failure_index, mode
+            assert crossed[-1] and not crossed[-2], mode
+            assert traj.channels.shape[1] == len(CHANNELS)
+            assert np.all(np.isfinite(traj.channels))
 
     def test_bit_identical_for_same_seed(self):
         cfg = base_cfg(FaultMode.VOA)
@@ -199,12 +208,12 @@ class TestMatchesPerStepOracle:
 
 def healthy_stats(seed, n=300):
     """Channel mean/std of a no-drift run, for the isolation tests."""
-    state = init_state(OP)
+    state = init_state()
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(n):
-        agc_step(state, CTRL, OP)
-        rows.append(observe(state, OP, rng.standard_normal(len(CHANNELS)) * BASE_NOISE_STD))
+        agc_step(state)
+        rows.append(observe(state, rng.standard_normal(len(CHANNELS)) * BASE_NOISE_STD))
     rows = np.asarray(rows)
     return rows.mean(axis=0), rows.std(axis=0)
 
@@ -277,7 +286,4 @@ class TestConfigValidation:
             SimConfig(mode=FaultMode.VOA, noise_scale=-1.0)
 
     def test_thresholds_are_positive(self):
-        th = FailureThresholds()
-        assert th.pd_bias_limit_db > 0
-        assert th.voa_error_limit_db > 0
-        assert th.passive_loss_limit_db > 0
+        assert FAILURE_LIMIT_DB > 0

@@ -240,7 +240,6 @@ class TestTrajectory:
             Trajectory("x", FaultMode.VOA, bad, failure_index=3)
 
     def test_mode_from_str(self):
-        assert FaultMode.from_str("PL") is FaultMode.PumpLaser
-        assert FaultMode.from_str("PassiveComponents") is FaultMode.PassiveComponents
+        assert FaultMode("PL") is FaultMode.PumpLaser
         with pytest.raises(ValueError):
-            FaultMode.from_str("XYZ")
+            FaultMode("XYZ")
