@@ -7,6 +7,7 @@ over a range of window lengths.
 """
 
 import argparse
+from dataclasses import replace
 
 from slat.attention import build_mask
 from slat.model import SlatConfig, param_count
@@ -21,7 +22,7 @@ def main():
 
     cfg = SlatConfig(band_width=args.band_width, n_global=args.n_global,
                      rank=args.rank)
-    dense = cfg.dense_variant()
+    dense = replace(cfg, rank=None)
 
     d, e, r = cfg.d_model, cfg.d_head, cfg.rank
     print("projection parameters (one head, one of Q/K/V)")

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Size of the library source: line count and settable values.
 
-``src_lines`` is the total line count of ``src/slat/*.py`` (as ``wc -l``).
+``src_lines`` is the total line count of ``src/slat/*.py`` (as ``wc -l``),
+and ``test_lines`` that of ``tests/*.py``, so a cut in src that only moved
+code into the tests shows.
 ``settable_values`` counts, over the same files, every value a caller can
 set: dataclass fields that are not ``ClassVar``, defaulted positional and
 keyword-only parameters of every function, and ``add_argument`` calls.
@@ -12,7 +14,9 @@ Run from anywhere: ``python scripts/src_budget.py``.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "slat"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "slat"
+TESTS = ROOT / "tests"
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -44,11 +48,15 @@ def settable_values(tree: ast.AST) -> int:
     return count
 
 
+def _texts(folder: Path) -> list[str]:
+    return [f.read_text(encoding="utf-8") for f in sorted(folder.glob("*.py"))]
+
+
 def main():
-    files = sorted(SRC.glob("*.py"))
-    texts = [f.read_text(encoding="utf-8") for f in files]
+    texts = _texts(SRC)
     print(f"src_lines {sum(t.count(chr(10)) for t in texts)}")
     print(f"settable_values {sum(settable_values(ast.parse(t)) for t in texts)}")
+    print(f"test_lines {sum(t.count(chr(10)) for t in _texts(TESTS))}")
 
 
 if __name__ == "__main__":

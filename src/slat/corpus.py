@@ -43,7 +43,8 @@ def _write_trajectory_csv(path: Path, traj: Trajectory, cap: float):
 
 def _read_trajectory_csv(path: Path, rec: dict, n_channels: int) -> Trajectory:
     """Check each line's field count, parse t and the channels in one call and
-    check that t runs 0, 1, 2, ...; a fault names its line (the header is 1)."""
+    check that t runs 0, 1, 2, ... up to the record's failure_index; a fault
+    in one line names it (the header is 1)."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     header = lines[0].split(",") if lines else []
@@ -70,9 +71,10 @@ def _read_trajectory_csv(path: Path, rec: dict, n_channels: int) -> Trajectory:
     if not np.array_equal(t, np.arange(len(t))):
         num = int(np.argmax(t != np.arange(len(t)))) + 2
         raise ValueError(f"line {num} has t {lines[num - 1].split(',')[0]}, not {num - 2}")
+    if rec["failure_index"] != len(t) - 1:
+        raise ValueError(f"failure_index {rec['failure_index']} is not the last t, {len(t) - 1}")
     return Trajectory(traj_id=rec["id"], mode=FaultMode(rec["mode"]),
-                      channels=np.ascontiguousarray(table[:, 1:]),
-                      failure_index=rec["failure_index"])
+                      channels=np.ascontiguousarray(table[:, 1:]))
 
 
 def _split_ids(ids: Sequence[str],

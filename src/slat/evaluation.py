@@ -39,7 +39,6 @@ def rmse(preds, targets) -> float:
 class EvalReport:
     per_mode: dict
     counts: dict = field(default_factory=dict)
-    missing: list = field(default_factory=list)
 
     @property
     def average(self) -> float:
@@ -48,14 +47,10 @@ class EvalReport:
             return float("nan")
         return float(np.mean([self.per_mode[m] for m in self.per_mode]))
 
-    @classmethod
-    def from_mode_rmses(cls, per_mode: dict) -> "EvalReport":
-        known = set(MODE_ORDER)
-        bad = set(per_mode) - known
-        if bad:
-            raise ValueError(f"unknown modes {sorted(bad)}")
-        missing = [m for m in MODE_ORDER if m not in per_mode]
-        return cls(per_mode=dict(per_mode), missing=missing)
+    @property
+    def missing(self) -> list:
+        """The modes without an RMSE, in canonical order."""
+        return [m for m in MODE_ORDER if m not in self.per_mode]
 
     def to_text(self) -> str:
         lines = [f"{'mode':<10}{'rmse':>8}  windows"]
@@ -78,14 +73,13 @@ class EvalReport:
 
 
 def evaluate(predict_fn: Callable, trajectories: Sequence[Trajectory],
-             stats: NormStats, n_stw: int, stride: int = 1,
-             label_cfg: LabelConfig | None = None) -> EvalReport:
+             stats: NormStats, n_stw: int, stride: int,
+             label_cfg: LabelConfig) -> EvalReport:
     """Score a predictor on whole trajectories, grouped by fault mode.
 
     ``predict_fn(values, descriptors) -> preds`` receives normalized,
     stacked window batches.
     """
-    label_cfg = label_cfg or LabelConfig()
     sq_err: dict = {}
     counts: dict = {}
     for traj in trajectories:
@@ -101,11 +95,11 @@ def evaluate(predict_fn: Callable, trajectories: Sequence[Trajectory],
         raise ValueError("no trajectories to evaluate")
     per_mode = {m: float(np.sqrt(np.mean(np.concatenate(errs))))
                 for m, errs in sq_err.items()}
-    missing = [m for m in MODE_ORDER if m not in per_mode]
-    if missing:
-        warnings.warn(f"modes absent from evaluation set: {', '.join(missing)}; "
+    report = EvalReport(per_mode=per_mode, counts=counts)
+    if report.missing:
+        warnings.warn(f"modes absent from evaluation set: {', '.join(report.missing)}; "
                       "average covers present modes only", stacklevel=2)
-    return EvalReport(per_mode=per_mode, counts=counts, missing=missing)
+    return report
 
 
 def model_predictor(params: dict, cfg: SlatConfig) -> Callable:
@@ -124,9 +118,9 @@ class RtfSeries:
 
 
 def rtf_series(predict_fn: Callable, traj: Trajectory, stats: NormStats,
-               n_stw: int, label_cfg: LabelConfig | None = None) -> RtfSeries:
+               n_stw: int, label_cfg: LabelConfig) -> RtfSeries:
     """Stride-1 remaining-lifetime trace over one trajectory."""
-    w = build_dataset([traj], n_stw, 1, label_cfg or LabelConfig(), stats)
+    w = build_dataset([traj], n_stw, 1, label_cfg, stats)
     preds = np.asarray(predict_fn(w.values, w.descriptors), dtype=np.float64)
     return RtfSeries(traj_id=traj.traj_id, mode=traj.mode.value,
                      t=np.arange(n_stw - 1, traj.n_steps),

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtr
@@ -89,9 +89,6 @@ class SlatConfig:
         if unknown:
             raise ValueError(f"unknown model config field(s): {', '.join(unknown)}")
         return cls(**d)
-
-    def dense_variant(self) -> "SlatConfig":
-        return replace(self, rank=None)
 
 
 # -- parameter bookkeeping ---------------------------------------------------

@@ -17,20 +17,22 @@ Four soft-failure modes drift exactly one hidden parameter each:
 * VOA: the realized attenuation drifts above the commanded value.
 * PassiveComponents: lumped passive loss grows linearly.
 
-A trajectory ends at the step its mode's failure threshold is crossed.
-Everything is driven by a single seeded generator, so a (config, seed) pair
-reproduces a trajectory bit for bit.
+A trajectory ends at the step its mode's failure threshold is crossed, and
+``simulate_trajectory`` returns only its channel rows as a ``Trajectory``;
+the hidden per-step state stays inside the step functions, which a caller
+can replay one by one. Everything is driven by a single seeded generator, so
+a (config, seed) pair reproduces a trajectory bit for bit.
 
 There is one simulated device: its setpoint, pump efficiencies, current
-limit, PI gains and failure limits are module constants, and
-``AmplifierState`` holds only what varies during a run.
+limit, PI gains, failure limits and step budget (``MAX_STEPS``) are module
+constants, and ``AmplifierState`` holds only what varies during a run.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,6 +79,7 @@ KP, KI = 1.0, 8.0  # incremental PI gains in mA per dB of gain error
 
 # a drifted parameter fails at this many dB (bias, VOA error, added loss)
 FAILURE_LIMIT_DB = 3.0
+MAX_STEPS = 10000  # a run that has not failed by then raises
 
 
 # per-step drift magnitude that reaches the failure threshold near step 400
@@ -94,7 +97,6 @@ class SimConfig:
     drift_rate_bounds: tuple[float, float] | None = None  # None -> 0.5x..2x base
     noise_scale: float = 1.0
     n_trajectories: int = 10
-    max_steps: int = 10000
 
     def __post_init__(self):
         lo, hi = self.rate_bounds
@@ -218,40 +220,12 @@ def _crossed(state: AmplifierState, mode: FaultMode) -> bool:
     return state.passive_loss - PASSIVE_LOSS_DB >= FAILURE_LIMIT_DB
 
 
-@dataclass
-class SimInternals:
-    """Per-step hidden state retained for diagnostics and tests."""
-
-    drift_rate: float
-    pump_eff_1: list = field(default_factory=list)
-    pd2_bias: list = field(default_factory=list)
-    voa_error: list = field(default_factory=list)
-    passive_loss: list = field(default_factory=list)
-    gain_error_1: list = field(default_factory=list)
-    gain_error_2: list = field(default_factory=list)
-    current_1: list = field(default_factory=list)
-    current_2: list = field(default_factory=list)
-
-    def record(self, state: AmplifierState):
-        inter, out = state.true_powers()
-        self.pump_eff_1.append(state.pump_eff_1)
-        self.pd2_bias.append(state.pd2_bias)
-        self.voa_error.append(state.voa_error)
-        self.passive_loss.append(state.passive_loss)
-        # true (noise-free) gain error per stage, before detector bias
-        self.gain_error_1.append(STAGE1_TARGET_DB - ((inter - INPUT_POWER_DBM)))
-        self.gain_error_2.append(STAGE2_TARGET_DB - (out - inter))
-        self.current_1.append(state.pump_current_1)
-        self.current_2.append(state.pump_current_2)
-
-
 def draw_drift_rate(cfg: SimConfig, rng: np.random.Generator) -> float:
     lo, hi = cfg.rate_bounds
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
 
-def simulate_trajectory(cfg: SimConfig, seed, traj_id: str | None = None,
-                        with_internals: bool = False):
+def simulate_trajectory(cfg: SimConfig, seed, traj_id: str | None = None) -> Trajectory:
     """Run drift -> control -> record until the failure threshold is crossed.
 
     ``seed`` may be an int or a numpy SeedSequence. Identical (cfg, seed)
@@ -262,25 +236,17 @@ def simulate_trajectory(cfg: SimConfig, seed, traj_id: str | None = None,
     state = init_state()
     noise_rows = (_noise_rows(rng, cfg.noise_std) if cfg.noise_scale > 0
                   else itertools.repeat(None))
-    internals = SimInternals(drift_rate=rate)
     rows = []
-    for t, noise in zip(range(cfg.max_steps), noise_rows):
+    for t, noise in zip(range(MAX_STEPS), noise_rows):
         inject_drift(state, cfg.mode, t, rate)
         agc_step(state)
         rows.append(observe(state, noise))
-        if with_internals:
-            internals.record(state)
         if _crossed(state, cfg.mode):
-            traj = Trajectory(
-                traj_id=traj_id or f"{cfg.mode.value}_{rate:.6g}",
-                mode=cfg.mode,
-                channels=np.asarray(rows),
-                failure_index=t,
-            )
-            return (traj, internals) if with_internals else traj
+            return Trajectory(traj_id=traj_id or f"{cfg.mode.value}_{rate:.6g}",
+                              mode=cfg.mode, channels=np.asarray(rows))
     raise RuntimeError(
         f"{cfg.mode.value} failure threshold not reached within "
-        f"{cfg.max_steps} steps; drift bounds too slow for max_steps")
+        f"{MAX_STEPS} steps; drift bounds too slow")
 
 
 def trajectory_seed(master_seed: int, mode: FaultMode, index: int) -> np.random.SeedSequence:

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .evaluation import rmse
 from .layers import global_norm
 from .model import SlatConfig, backward, forward, init_params, predict_rul
 from .windowing import Windows
@@ -208,7 +209,7 @@ def train(windows: Windows, model_cfg: SlatConfig,
 
         if val is not None:
             val_preds = predict_rul(params, model_cfg, (val.values, val.descriptors))
-            val_rmse = float(np.sqrt(np.mean((val_preds - val.targets) ** 2)))
+            val_rmse = rmse(val_preds, val.targets)
             if val_rmse < best_val:
                 best_val = val_rmse
                 best_epoch = epoch

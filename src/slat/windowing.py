@@ -1,12 +1,14 @@
 """Run-to-failure trajectories and their conversion into training windows.
 
 A trajectory is a (T, S) matrix of raw sensor channels ending at the step
-where the device crossed its soft-failure threshold. Windows of fixed length
-slide over it; each window is z-scored with training statistics, enriched
-with per-channel mean/slope descriptors (computed on raw values, then
-z-scored with their own statistics), and labelled with the capped RUL at the
-window's last step. One strided view per trajectory cuts the windows, and
-every consumer reads the stacked arrays of :class:`Windows`.
+where the device crossed its soft-failure threshold, so its failure index is
+always T - 1. Windows of fixed length slide over it; each window is z-scored
+with training statistics, enriched with per-channel mean/slope descriptors
+(computed on raw values, then z-scored with their own statistics), and
+labelled with the capped RUL at the window's last step. One strided view per
+trajectory cuts the windows (the k-th starts at step k * stride); it is the
+only window enumeration, and every consumer reads the stacked arrays of
+:class:`Windows` that ``build_dataset`` returns.
 """
 
 from __future__ import annotations
@@ -35,16 +37,12 @@ class Trajectory:
     traj_id: str
     mode: FaultMode
     channels: np.ndarray  # (T, S) float64
-    failure_index: int
 
     def __post_init__(self):
         ch = np.asarray(self.channels, dtype=np.float64)
         object.__setattr__(self, "channels", ch)
         if ch.ndim != 2 or ch.shape[0] < 2 or ch.shape[1] < 1:
             raise ValueError(f"channels must be (T>=2, S>=1), got {ch.shape}")
-        if self.failure_index != ch.shape[0] - 1:
-            raise ValueError(
-                f"failure_index {self.failure_index} != T-1 = {ch.shape[0] - 1}")
         if not np.all(np.isfinite(ch)):
             raise ValueError(f"trajectory {self.traj_id} has non-finite values")
 
@@ -55,6 +53,10 @@ class Trajectory:
     @property
     def n_channels(self) -> int:
         return self.channels.shape[1]
+
+    @property
+    def failure_index(self) -> int:
+        return self.n_steps - 1
 
 
 @dataclass(frozen=True)
@@ -97,14 +99,8 @@ class NormStats:
     def normalize_values(self, x: np.ndarray) -> np.ndarray:
         return (x - self.channel_mean) / self.channel_std
 
-    def denormalize_values(self, x: np.ndarray) -> np.ndarray:
-        return x * self.channel_std + self.channel_mean
-
     def normalize_descriptors(self, d: np.ndarray) -> np.ndarray:
         return (d - self.descriptor_mean) / self.descriptor_std
-
-    def denormalize_descriptors(self, d: np.ndarray) -> np.ndarray:
-        return d * self.descriptor_std + self.descriptor_mean
 
     def to_dict(self) -> dict:
         return {
@@ -120,27 +116,16 @@ class NormStats:
                       ("channel_mean", "channel_std", "descriptor_mean", "descriptor_std")})
 
 
-def _window_count(n_steps: int, n_stw: int, stride: int,
-                  what: str = "trajectory") -> int:
+def _window_view(traj: Trajectory, n_stw: int, stride: int) -> np.ndarray:
+    """Read-only (W, n_stw, S) view of every full window, the k-th starting
+    at step k * stride."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if n_stw < 2:
         raise ValueError(f"window length must be >= 2, got {n_stw}")
-    if n_stw > n_steps:
-        raise ValueError(
-            f"{what} too short: {n_steps} steps < window length {n_stw}")
-    return (n_steps - n_stw) // stride + 1
-
-
-def window_bounds(n_steps: int, n_stw: int, stride: int) -> list[tuple[int, int]]:
-    """Half-open [start, end) index pairs of every full window."""
-    count = _window_count(n_steps, n_stw, stride)
-    return [(k * stride, k * stride + n_stw) for k in range(count)]
-
-
-def _window_view(traj: Trajectory, n_stw: int, stride: int) -> np.ndarray:
-    """Read-only (W, n_stw, S) view of the windows ``window_bounds`` lists."""
-    _window_count(traj.n_steps, n_stw, stride, f"trajectory {traj.traj_id}")
+    if n_stw > traj.n_steps:
+        raise ValueError(f"trajectory {traj.traj_id} too short: "
+                         f"{traj.n_steps} steps < window length {n_stw}")
     return sliding_window_view(traj.channels, n_stw, axis=0)[::stride].swapaxes(1, 2)
 
 

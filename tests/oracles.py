@@ -188,20 +188,27 @@ def observe_reference(state, noise_std, rng):
 
 
 def simulate_trajectory_reference(cfg, seed):
-    """Channels ``(T, 9)`` and per-step internals of one run to failure."""
+    """Channels ``(T, 9)`` of one run to failure and its hidden state, one
+    array per name over the steps: the drifted parameters, the stage-1 pump
+    current and each stage's true (noise-free) gain error."""
     rng = np.random.default_rng(seed)
     rate = sim.draw_drift_rate(cfg, rng)
     state = sim.init_state()
-    internals = sim.SimInternals(drift_rate=rate)
-    rows = []
-    for t in range(cfg.max_steps):
+    rows, hidden = [], {}
+    for t in range(sim.MAX_STEPS):
         sim.inject_drift(state, cfg.mode, t, rate)
         sim.agc_step(state)
         rows.append(observe_reference(state, cfg.noise_std,
                                       rng if cfg.noise_scale > 0 else None))
-        internals.record(state)
+        inter, out = state.true_powers()
+        step = {"pd2_bias": state.pd2_bias, "voa_error": state.voa_error,
+                "passive_loss": state.passive_loss, "current_1": state.pump_current_1,
+                "gain_error_1": sim.STAGE1_TARGET_DB - (inter - sim.INPUT_POWER_DBM),
+                "gain_error_2": sim.STAGE2_TARGET_DB - (out - inter)}
+        for name, value in step.items():
+            hidden.setdefault(name, []).append(value)
         if sim._crossed(state, cfg.mode):
-            return np.asarray(rows), internals
+            return np.asarray(rows), {k: np.asarray(v) for k, v in hidden.items()}
     raise RuntimeError("failure threshold not reached")
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,7 +161,7 @@ class TestLowRank:
         # d_model 64, head dim 8: rank-4 factors store 288 per head vs 512 dense
         cfg = SlatConfig()
         low = dict(param_shapes(cfg))
-        full = dict(param_shapes(cfg.dense_variant()))
+        full = dict(param_shapes(replace(cfg, rank=None)))
         u, v = low["time_enc.0.attn.q_u"], low["time_enc.0.attn.q_v"]
         assert np.prod(u[1:]) + np.prod(v[1:]) == 288
         assert np.prod(full["time_enc.0.attn.q_u"][1:]) == 512

@@ -93,6 +93,7 @@ CORPUS_CORRUPTIONS = {
     "str_rul_cap": _edit_manifest(lambda m: {**m, "rul_cap": "125"}),
     "list_manifest": _edit_manifest(lambda m: [1]),
     "empty_csv": _edit_csv(lambda text: ""),
+    "truncated_csv": _edit_csv(lambda text: "".join(text.splitlines(keepends=True)[:-1])),
     "dropped_column": _edit_csv(lambda text: "".join(
         ",".join(line.split(",")[:1] + line.split(",")[2:]) + "\n"
         for line in text.splitlines())),
@@ -417,6 +418,10 @@ class TestGradcheck:
 
     def test_loose_threshold_still_zero(self):
         assert main(["gradcheck", "--threshold", "1.0"]) == 0
+
+    def test_failure_exits_two(self, capsys):
+        assert main(["gradcheck", "--threshold", "1e-30"]) == 2
+        assert "gradient check FAILED" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -82,8 +82,7 @@ def odd_float_trajectory(n_steps=300, seed=0):
     channels[~np.isfinite(channels)] = -0.0
     channels[:3] = [[5e-324, -0.0, 0.0, 1.7976931348623157e308, -2.2250738585072014e-308,
                      0.1, 1e22, 1e-7, 123456789.0]] * 3
-    return Trajectory(traj_id="odd", mode=FaultMode.VOA, channels=channels,
-                      failure_index=n_steps - 1)
+    return Trajectory(traj_id="odd", mode=FaultMode.VOA, channels=channels)
 
 
 class TestMatchesCsvModuleOracle:

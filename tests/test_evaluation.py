@@ -16,8 +16,7 @@ def make_traj(n_steps, mode, seed, n_ch=3):
     rng = np.random.default_rng(seed)
     ch = rng.normal(0, 1, size=(n_steps, n_ch)) + np.linspace(
         0, 5, n_steps)[:, None]
-    return Trajectory(traj_id=f"{mode.value}_{seed}", mode=mode, channels=ch,
-                      failure_index=n_steps - 1)
+    return Trajectory(traj_id=f"{mode.value}_{seed}", mode=mode, channels=ch)
 
 
 @pytest.fixture()
@@ -45,8 +44,7 @@ class TestRmse:
 
 class TestReport:
     def test_unweighted_average_worked_example(self):
-        report = EvalReport.from_mode_rmses(
-            {"PL": 8.93, "PD": 7.67, "VOA": 1.34, "PC": 8.29})
+        report = EvalReport({"PL": 8.93, "PD": 7.67, "VOA": 1.34, "PC": 8.29})
         assert report.average == pytest.approx(6.5575)
         assert f"{report.average:.2f}" == "6.56"
 
@@ -56,22 +54,17 @@ class TestReport:
         assert report.average == pytest.approx(6.0)
 
     def test_text_table_lists_modes_in_canonical_order(self):
-        report = EvalReport.from_mode_rmses(
-            {"PC": 1.0, "PL": 2.0, "VOA": 3.0, "PD": 4.0})
+        report = EvalReport({"PC": 1.0, "PL": 2.0, "VOA": 3.0, "PD": 4.0})
         lines = report.to_text().splitlines()
         assert [ln.split()[0] for ln in lines[1:5]] == ["PL", "PD", "VOA", "PC"]
         assert lines[5].startswith("Average")
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            EvalReport.from_mode_rmses({"XX": 1.0})
-
     def test_json_dict_is_sorted_and_complete(self):
         report = EvalReport(per_mode={"VOA": 1.0, "PL": 2.0},
-                            counts={"VOA": 3, "PL": 4}, missing=["PD", "PC"])
+                            counts={"VOA": 3, "PL": 4})
         d = report.to_json_dict()
         assert list(d["per_mode_rmse"]) == ["PL", "VOA"]
-        assert d["missing_modes"] == ["PD", "PC"]
+        assert d["missing_modes"] == ["PD", "PC"]  # derived, in canonical order
         assert d["average_rmse"] == pytest.approx(1.5)
 
 
@@ -145,7 +138,7 @@ class TestRtf:
         trajs, stats = tiny_setup
         with pytest.raises(ValueError):
             rtf_series(lambda v, d: np.zeros(v.shape[0]),
-                       make_traj(5, FaultMode.VOA, 3), stats, 8)
+                       make_traj(5, FaultMode.VOA, 3), stats, 8, LabelConfig())
 
     def test_csv_format(self, tmp_path, tiny_setup):
         trajs, stats = tiny_setup

@@ -34,13 +34,14 @@ def test_complexity_report_runs_with_defaults(monkeypatch, capsys):
 
 
 def test_src_budget_runs_and_counts(capsys):
-    """``main()`` prints the library's line count as ``wc -l`` would, and
-    the counter sees every kind of settable value once."""
+    """``main()`` prints the library's and the tests' line counts as
+    ``wc -l`` would, and the counter sees every kind of settable value once."""
     module = _load("src_budget")
     module.main()
     out = dict(line.split() for line in capsys.readouterr().out.splitlines())
-    files = sorted((SCRIPTS.parent / "src" / "slat").glob("*.py"))
-    assert int(out["src_lines"]) == sum(f.read_text().count("\n") for f in files)
+    for key, folder in (("src_lines", "src/slat"), ("test_lines", "tests")):
+        files = sorted((SCRIPTS.parent / folder).glob("*.py"))
+        assert int(out[key]) == sum(f.read_text().count("\n") for f in files), key
     assert int(out["settable_values"]) > 0
     sample = ast.parse(
         "@dataclass(frozen=True)\n"

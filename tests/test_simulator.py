@@ -2,8 +2,9 @@ import numpy as np
 import oracles
 import pytest
 
+from slat import simulator
 from slat.simulator import (BASE_NOISE_STD, CHANNELS, FAILURE_LIMIT_DB, I_MAX_MA,
-                            MODE_BASE_RATE, NOISE_BLOCK, NOMINAL_CURRENT_1,
+                            MAX_STEPS, MODE_BASE_RATE, NOISE_BLOCK, NOMINAL_CURRENT_1,
                             NOMINAL_CURRENT_2, PASSIVE_LOSS_DB, PUMP_EFF_1,
                             STAGE1_TARGET_DB, STAGE2_TARGET_DB, SimConfig, agc_step,
                             draw_drift_rate, init_state, inject_drift,
@@ -76,17 +77,16 @@ class TestController:
         for mode in (FaultMode.PumpLaser, FaultMode.VOA,
                      FaultMode.PassiveComponents):
             cfg = base_cfg(mode, noise_scale=0.0)
-            traj, ints = simulate_trajectory(cfg, 0, with_internals=True)
-            i1 = np.array(ints.current_1)
-            sel = (i1 < I_MAX_MA)
+            _, ints = oracles.simulate_trajectory_reference(cfg, 0)
+            sel = ints["current_1"] < I_MAX_MA
             sel[:50] = False
-            assert np.abs(np.array(ints.gain_error_1))[sel].max() < 0.1, mode
-            assert np.abs(np.array(ints.gain_error_2))[sel].max() < 0.1, mode
+            assert np.abs(ints["gain_error_1"])[sel].max() < 0.1, mode
+            assert np.abs(ints["gain_error_2"])[sel].max() < 0.1, mode
 
     def test_mean_tracking_error_small_with_noise(self):
         cfg = base_cfg(FaultMode.VOA, noise_scale=1.0)
-        traj, ints = simulate_trajectory(cfg, 3, with_internals=True)
-        e1 = np.array(ints.gain_error_1)[50:]
+        _, ints = oracles.simulate_trajectory_reference(cfg, 3)
+        e1 = ints["gain_error_1"][50:]
         assert abs(e1.mean()) < 0.02
 
 
@@ -123,18 +123,20 @@ class TestDrift:
 class TestTrajectories:
     def test_failure_is_last_step(self):
         # the run stops at the first step whose hidden parameter reaches its
-        # failure limit; the limits are spelled out so a mistyped constant fails
+        # failure limit; the limits are spelled out so a mistyped constant
+        # fails. The hidden state is the per-step oracle's, which
+        # TestMatchesPerStepOracle pins to the library's trajectories.
         for mode in FaultMode:
-            traj, ints = simulate_trajectory(base_cfg(mode), 5, with_internals=True)
+            traj = simulate_trajectory(base_cfg(mode), 5)
+            _, ints = oracles.simulate_trajectory_reference(base_cfg(mode), 5)
             crossed = {
-                FaultMode.PumpLaser: np.array(ints.current_1) >= 250.0,
-                FaultMode.PowerDetector: np.abs(ints.pd2_bias) >= 3.0,
-                FaultMode.VOA: np.array(ints.voa_error) >= 3.0,
-                FaultMode.PassiveComponents: np.array(ints.passive_loss) - 2.0 >= 3.0,
+                FaultMode.PumpLaser: ints["current_1"] >= 250.0,
+                FaultMode.PowerDetector: np.abs(ints["pd2_bias"]) >= 3.0,
+                FaultMode.VOA: ints["voa_error"] >= 3.0,
+                FaultMode.PassiveComponents: ints["passive_loss"] - 2.0 >= 3.0,
             }[mode]
             assert len(crossed) == traj.n_steps, mode
-            assert traj.failure_index == traj.n_steps - 1, mode
-            assert np.argmax(crossed) == traj.failure_index, mode
+            assert np.argmax(crossed) == traj.failure_index == traj.n_steps - 1, mode
             assert crossed[-1] and not crossed[-2], mode
             assert traj.channels.shape[1] == len(CHANNELS)
             assert np.all(np.isfinite(traj.channels))
@@ -148,10 +150,10 @@ class TestTrajectories:
         assert t3.n_steps != t1.n_steps or not np.array_equal(t3.channels,
                                                               t1.channels)
 
-    def test_unreachable_threshold_raises(self):
-        cfg = base_cfg(FaultMode.PassiveComponents, max_steps=50)
-        with pytest.raises(RuntimeError):
-            simulate_trajectory(cfg, 0)
+    def test_unreachable_threshold_raises(self, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_STEPS", 50)
+        with pytest.raises(RuntimeError, match="within 50 steps"):
+            simulate_trajectory(base_cfg(FaultMode.PassiveComponents), 0)
 
     def test_pump_failure_window_around_step_400(self):
         # rates within 15% of base must fail inside [300, 500]
@@ -169,7 +171,7 @@ class TestTrajectories:
             for rate in (lo, hi):
                 cfg = SimConfig(mode=mode, drift_rate_bounds=(rate, rate))
                 traj = simulate_trajectory(cfg, 1)
-                assert 2 * 30 <= traj.n_steps <= cfg.max_steps, mode
+                assert 2 * 30 <= traj.n_steps <= MAX_STEPS, mode
 
 
 class TestMatchesPerStepOracle:
@@ -178,13 +180,10 @@ class TestMatchesPerStepOracle:
 
     @staticmethod
     def assert_matches_oracle(cfg, seed):
-        traj, ints = simulate_trajectory(cfg, seed, with_internals=True)
-        channels, ref_ints = oracles.simulate_trajectory_reference(cfg, seed)
+        traj = simulate_trajectory(cfg, seed)
+        channels, _ = oracles.simulate_trajectory_reference(cfg, seed)
         assert traj.channels.shape == channels.shape
         assert traj.channels.tobytes() == channels.tobytes()
-        assert traj.failure_index == len(channels) - 1
-        assert ints == ref_ints  # every per-step internal, exactly
-        assert simulate_trajectory(cfg, seed).channels.tobytes() == channels.tobytes()
         return traj
 
     @pytest.mark.parametrize("mode", list(FaultMode))

@@ -6,46 +6,50 @@ from hypothesis import strategies as st
 from oracles import naive_mean_slope, naive_rul, naive_window_starts
 from slat.windowing import (FaultMode, LabelConfig, NormStats, Trajectory,
                             build_dataset, collect_descriptors,
-                            compute_descriptors, fit_norm_stats, label_rul,
-                            window_bounds)
+                            compute_descriptors, fit_norm_stats, label_rul)
+
+IDENTITY = NormStats(np.zeros(1), np.ones(1), np.zeros(2), np.ones(2))
 
 
 def make_traj(channels, mode=FaultMode.PumpLaser, traj_id="t0"):
-    channels = np.asarray(channels, dtype=np.float64)
-    return Trajectory(traj_id=traj_id, mode=mode, channels=channels,
-                      failure_index=channels.shape[0] - 1)
+    return Trajectory(traj_id=traj_id, mode=mode, channels=channels)
+
+
+def window_starts(n_steps, n_stw, stride):
+    """The start step of every window ``build_dataset`` cuts: one channel
+    holding the step index, windowed with identity statistics."""
+    traj = make_traj(np.arange(n_steps, dtype=float)[:, None])
+    windows = build_dataset([traj], n_stw, stride, LabelConfig(), IDENTITY)
+    assert np.array_equal(windows.values[:, :, 0],
+                          windows.values[:, :1, 0] + np.arange(n_stw))  # contiguous
+    return windows.values[:, 0, 0].tolist()
 
 
 class TestWindowBounds:
     def test_worked_example(self):
         # T=10, n=4, stride=3 -> starts 0, 3, 6
-        assert window_bounds(10, 4, 3) == [(0, 4), (3, 7), (6, 10)]
+        assert window_starts(10, 4, 3) == [0, 3, 6]
 
     def test_single_window_when_lengths_match(self):
-        assert window_bounds(5, 5, 1) == [(0, 5)]
+        assert window_starts(5, 5, 1) == [0]
 
     def test_stride_larger_than_remainder(self):
-        assert window_bounds(6, 5, 10) == [(0, 5)]
+        assert window_starts(6, 5, 10) == [0]
 
     @pytest.mark.parametrize("n_steps,n_stw,stride", [
         (10, 4, 0), (10, 1, 1), (3, 4, 1),
     ])
     def test_rejects_bad_arguments(self, n_steps, n_stw, stride):
         with pytest.raises(ValueError):
-            window_bounds(n_steps, n_stw, stride)
+            window_starts(n_steps, n_stw, stride)
 
     @given(n_steps=st.integers(2, 300), n_stw=st.integers(2, 50),
            stride=st.integers(1, 20))
     def test_matches_naive_enumeration(self, n_steps, n_stw, stride):
         if n_stw > n_steps:
             return
-        bounds = window_bounds(n_steps, n_stw, stride)
-        starts = naive_window_starts(n_steps, n_stw, stride)
-        assert [b[0] for b in bounds] == starts
-        assert len(bounds) == (n_steps - n_stw) // stride + 1
-        for s, e in bounds:
-            assert e - s == n_stw
-            assert 0 <= s and e <= n_steps
+        assert window_starts(n_steps, n_stw, stride) == naive_window_starts(
+            n_steps, n_stw, stride)
 
 
 class TestDescriptors:
@@ -138,11 +142,11 @@ class TestNormStats:
         stats = fit_norm_stats([traj], desc)
         x = rng.normal(0, 2, size=(7, 3))
         np.testing.assert_allclose(
-            stats.denormalize_values(stats.normalize_values(x)), x, atol=1e-9)
+            stats.normalize_values(x) * stats.channel_std + stats.channel_mean, x, atol=1e-9)
         d = rng.normal(0, 2, size=6)
         np.testing.assert_allclose(
-            stats.denormalize_descriptors(stats.normalize_descriptors(d)), d,
-            atol=1e-9)
+            stats.normalize_descriptors(d) * stats.descriptor_std + stats.descriptor_mean,
+            d, atol=1e-9)
 
     def test_dict_roundtrip(self):
         traj = make_traj(np.random.default_rng(0).normal(size=(20, 2)))
@@ -171,7 +175,7 @@ class TestBuildDataset:
         samples = build_dataset([traj], 10, 1, LabelConfig(), stats)
         all_vals = samples.values
         assert abs(float(all_vals.mean())) < 0.5
-        raw = stats.denormalize_values(samples[0].values)
+        raw = samples[0].values * stats.channel_std + stats.channel_mean
         np.testing.assert_allclose(raw, traj.channels[:10], atol=1e-9)
 
     def test_descriptors_computed_on_raw_values(self):
@@ -191,7 +195,7 @@ class TestBuildDataset:
     @settings(max_examples=80, deadline=None)
     def test_equals_per_window_reference(self, extra_steps, n_ch, n_stw, stride, seed):
         """Exactly the windows, descriptors and labels of the per-window
-        definition: window_bounds, compute_descriptors on each slice, the
+        definition: naive_window_starts, compute_descriptors on each slice, the
         NormStats transforms, and label_rul at the window end."""
         rng = np.random.default_rng(seed)
         trajs = [make_traj(rng.normal(rng.normal(0, 50), 10, size=(n_stw + k, n_ch)),
@@ -202,7 +206,8 @@ class TestBuildDataset:
         raw_desc, values, descriptors, targets, ids = [], [], [], [], []
         for traj in trajs:
             labels = label_rul(traj, cfg)
-            for start, end in window_bounds(traj.n_steps, n_stw, stride):
+            for start in naive_window_starts(traj.n_steps, n_stw, stride):
+                end = start + n_stw
                 raw = traj.channels[start:end]
                 raw_desc.append(compute_descriptors(raw))
                 values.append(stats.normalize_values(raw))
@@ -230,14 +235,13 @@ class TestBuildDataset:
 
 class TestTrajectory:
     def test_failure_index_must_be_last(self):
-        with pytest.raises(ValueError):
-            Trajectory("x", FaultMode.VOA, np.zeros((5, 2)), failure_index=3)
+        assert Trajectory("x", FaultMode.VOA, np.zeros((5, 2))).failure_index == 4
 
     def test_rejects_nonfinite(self):
         bad = np.zeros((4, 2))
         bad[1, 1] = np.inf
         with pytest.raises(ValueError):
-            Trajectory("x", FaultMode.VOA, bad, failure_index=3)
+            Trajectory("x", FaultMode.VOA, bad)
 
     def test_mode_from_str(self):
         assert FaultMode("PL") is FaultMode.PumpLaser
