@@ -154,11 +154,11 @@ def generate_corpus(out_dir, master_seed: int, n_per_mode: int = 10,
                     sim_configs: Sequence[SimConfig] | None = None) -> Corpus:
     """Simulate every fault mode, split per mode, fit train-split stats and
     write the corpus. Returns the loaded result."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if sim_configs is None:
         sim_configs = [SimConfig(mode=m, n_trajectories=n_per_mode,
                                  noise_scale=noise_scale) for m in FaultMode]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     trajs: dict = {}
     meta: dict = {}

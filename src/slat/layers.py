@@ -3,7 +3,9 @@
 All functions work on float arrays whose trailing axis is the feature axis;
 leading axes (batch, tokens) broadcast through untouched. Forward passes
 return ``(output, cache)`` and the matching ``*_backward`` consumes the cache
-and the upstream gradient.
+and the upstream gradient. ``linear_backward`` and ``gelu_backward`` write
+their input gradient into a cached array of the same shape, so a cache is
+good for one backward.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 
 def linear_backward(gy: np.ndarray, cache):
+    """(gx, gw, gb); gw is computed first, then gx overwrites the cached input."""
     x2, w = cache
     g2 = gy.reshape(-1, gy.shape[-1])
-    gx = (g2 @ w.T).reshape(*gy.shape[:-1], w.shape[0])
-    return gx, x2.T @ g2, g2.sum(axis=0)
+    gw = x2.T @ g2
+    gx = np.matmul(g2, w.T, out=x2).reshape(*gy.shape[:-1], w.shape[0])
+    return gx, gw, g2.sum(axis=0)
 
 
 def normalize(x: np.ndarray):
@@ -81,7 +85,8 @@ def gelu(x: np.ndarray):
 
 
 def gelu_backward(gy: np.ndarray, slope):
-    return gy * slope
+    """gy * slope, written into the cached slope."""
+    return np.multiply(gy, slope, out=slope)
 
 
 def dropout(x: np.ndarray, rate: float, rng: np.random.Generator):

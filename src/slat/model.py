@@ -14,9 +14,11 @@ collection. A training forward (``train=True``) returns a cache consumed by
 :func:`backward`, which produces a gradient dict with exactly the same keys.
 Per block the cache keeps both layer norms' xhat, the attention cache, two
 bool dropout masks and the FFN's GELU output and slope; backward rebuilds the
-LN2 output from its xhat. An inference forward runs its own block loop, the
-same operations without dropout or caches, so its peak memory is one block's
-activations.
+LN2 output from its xhat. Backward consumes the cache: gradients overwrite
+the activations they replace, each stack's block caches are freed as that
+stack's backward ends, and a consumed cache is refused. An inference
+forward runs its own block loop, the same operations without dropout or
+caches, so its peak memory is one block's activations.
 """
 
 from __future__ import annotations
@@ -220,7 +222,8 @@ def _block_forward(x, mem, params, cfg: SlatConfig, prefix, mask, rng):
 
 
 def _block_backward(gy, cache, params, p, grads):
-    """Returns (gx, gmem); gmem is None for self-attention blocks."""
+    """Returns (gx, gmem); gmem is None for self-attention blocks. The FFN
+    gradients overwrite the cached activations they replace."""
     ln1c, mhac, drop1, ln2c, slope, lin2c, drop2, is_cross = cache
     g_f2 = layers.dropout_backward(gy, drop2)
     g_g1, grads[f"{p}ffn.w2"], grads[f"{p}ffn.b2"] = layers.linear_backward(g_f2, lin2c)
@@ -278,15 +281,19 @@ def _infer_stack(x, mem, params, cfg, name, n_blocks, mask):
 
 
 def _stack_backward(gy, params, name, cache, grads):
-    """Returns (gx, gmem); gmem sums the blocks' memory gradients, None without mem."""
-    caches, lnc = cache
+    """Returns (gx, gmem); gmem sums the blocks' memory gradients, None without
+    mem. The block caches are freed as the stack's backward ends: freed block
+    by block, glibc handed them to the OS mid-step and the next forward
+    faulted them in again."""
+    blocks, lnc = cache
     gy, grads[f"{name}.final_ln.g"], grads[f"{name}.final_ln.b"] = \
         layers.layer_norm_backward(gy, lnc)
     gmem = None
-    for i in reversed(range(len(caches))):
-        gy, gm = _block_backward(gy, caches[i], params, f"{name}.{i}.", grads)
+    for i in reversed(range(len(blocks))):
+        gy, gm = _block_backward(gy, blocks[i], params, f"{name}.{i}.", grads)
         if gm is not None:
             gmem = gm if gmem is None else np.add(gmem, gm, out=gmem)
+    blocks.clear()
     return gy, gmem
 
 
@@ -337,11 +344,14 @@ def forward(params, cfg: SlatConfig, values, descriptors, *, train=False, rng=No
 def backward(params, cfg: SlatConfig, cache, gpreds) -> dict[str, np.ndarray]:
     """Gradient dict (same keys as params) of a scalar loss given d loss/d preds.
 
-    The inputs are data, not parameters, so their gradients are dropped.
+    The inputs are data, not parameters, so their gradients are dropped. The
+    cache is consumed (see the module docstring), so it serves one call.
     """
     if cache is None:
         raise ValueError("backward needs the cache of a forward with train=True")
     t_emb_cache, s_emb_cache, t_enc_cache, s_enc_cache, dec_cache, head_cache = cache
+    if not all(stack[0] for stack in (t_enc_cache, s_enc_cache, dec_cache)):
+        raise ValueError("backward needs a fresh cache; this one was consumed by a backward")
     n = cfg.n_stw
     grads: dict[str, np.ndarray] = {}
 
@@ -350,8 +360,13 @@ def backward(params, cfg: SlatConfig, cache, gpreds) -> dict[str, np.ndarray]:
     gq, g_mem = _stack_backward(gq, params, "decoder", dec_cache, grads)
     grads["decoder.query"] = gq.sum(axis=(0, 1))
 
+    # the sensor encoder's cache is freed before the time encoder's larger
+    # gradients exist; its grads join after the time encoder's, the key
+    # order clip_gradients sums in
+    s_grads: dict[str, np.ndarray] = {}
+    g_s_tok, _ = _stack_backward(g_mem[:, n:, :], params, "sensor_enc", s_enc_cache, s_grads)
     g_t_tok, _ = _stack_backward(g_mem[:, :n, :], params, "time_enc", t_enc_cache, grads)
-    g_s_tok, _ = _stack_backward(g_mem[:, n:, :], params, "sensor_enc", s_enc_cache, grads)
+    grads.update(s_grads)
     _, grads["time_embed.w"], grads["time_embed.b"] = \
         layers.linear_backward(g_t_tok, t_emb_cache)
     grads["sensor_embed.ident"] = g_s_tok.reshape(-1, *g_s_tok.shape[-2:]).sum(axis=0)

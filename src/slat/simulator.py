@@ -102,8 +102,8 @@ class SimConfig:
         lo, hi = self.rate_bounds
         if not (0 < lo <= hi):
             raise ValueError(f"bad drift rate bounds ({lo}, {hi})")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
 

@@ -46,8 +46,9 @@ class TrainConfig:
     stop_train_rmse: float | None = None
 
     def __post_init__(self):
-        if not (0 < self.learning_rate):
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
         if not (0 <= self.val_fraction < 1):
@@ -176,7 +177,7 @@ def train(windows: Windows, model_cfg: SlatConfig,
     train_idx, val_idx, val_ids = split_by_trajectory(windows, tcfg.val_fraction, rng)
     if not train_idx:
         raise ValueError("validation split consumed all trajectories")
-    fit = windows[train_idx]
+    train_idx = np.asarray(train_idx)
     val = windows[val_idx] if val_idx else None
 
     params = _copy_params(init) if init is not None else init_params(model_cfg, rng)
@@ -185,27 +186,29 @@ def train(windows: Windows, model_cfg: SlatConfig,
     best_val = float("inf")
     best_epoch = 0
     history = []
-    n = len(fit)
+    n = len(train_idx)
 
     for epoch in range(tcfg.epochs):
         t0 = time.perf_counter()
         order = rng.permutation(n)
         losses = []
-        for b, start in enumerate(range(0, n, tcfg.batch_size)):
-            batch = fit[order[start:start + tcfg.batch_size]]
-            preds, cache = forward(params, model_cfg, batch.values,
-                                   batch.descriptors, train=True, rng=rng)
-            loss, gpred = mse_loss(preds, batch.targets)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(epoch, b, f"loss={loss}")
-            grads = backward(params, model_cfg, cache, gpred)
-            clip_gradients(grads, tcfg.clip_norm)
-            try:
-                adam_step(params, grads, state, tcfg)
-            except FloatingPointError as exc:
-                raise TrainingDiverged(epoch, b, str(exc)) from exc
-            losses.append(loss)
-            del cache, grads  # so no two batches' activations are alive at once
+        # the loss and gradient checks below catch non-finite values
+        with np.errstate(all="ignore"):
+            for b, start in enumerate(range(0, n, tcfg.batch_size)):
+                batch = windows[train_idx[order[start:start + tcfg.batch_size]]]
+                preds, cache = forward(params, model_cfg, batch.values,
+                                       batch.descriptors, train=True, rng=rng)
+                loss, gpred = mse_loss(preds, batch.targets)
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(epoch, b, f"loss={loss}")
+                grads = backward(params, model_cfg, cache, gpred)
+                clip_gradients(grads, tcfg.clip_norm)
+                try:
+                    adam_step(params, grads, state, tcfg)
+                except FloatingPointError as exc:
+                    raise TrainingDiverged(epoch, b, str(exc)) from exc
+                losses.append(loss)
+                del cache, grads  # so no two batches' activations are alive at once
 
         if val is not None:
             val_preds = predict_rul(params, model_cfg, (val.values, val.descriptors))

@@ -4,6 +4,7 @@ import math
 import shlex
 import shutil
 import struct
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -129,6 +130,17 @@ class TestGenerate:
         stdout = capsys.readouterr().out
         assert "8 trajectories" in stdout
 
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_noise_scale_is_runtime_error(self, tmp_path, capsys, scale):
+        # a NaN scale used to skip the noise and write NaN into manifest.json
+        out = tmp_path / "c"
+        rc = main(["generate", "--out", str(out), "--seed", "3",
+                   "--trajectories", "2", "--noise-scale", scale])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "noise_scale" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_seed_reproduces_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -174,6 +186,20 @@ class TestTrain:
         rc = main(["train", "--corpus", str(workdir["corpus"]),
                    "--out", str(tmp_path / "run"), "--epochs", "1",
                    "--model-config", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert named in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("lr, named", [("inf", "learning_rate"),
+                                           ("1e300", "training diverged")])
+    def test_bad_learning_rate_is_one_line(self, workdir, tmp_path, capsys, lr, named):
+        # a warning raises here, so numpy's overflow warnings on the way to the
+        # divergence check would fail the command, not print beside its error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--corpus", str(workdir["corpus"]),
+                       "--out", str(tmp_path / "run"), "--epochs", "1", "--lr", lr,
+                       "--model-config", str(workdir["model_json"])])
         assert rc == 2
         err = capsys.readouterr().err
         assert named in err and len(err.strip().splitlines()) == 1

@@ -279,6 +279,63 @@ class TestBackward:
         assert len(masks) == 2 * n_blocks
         assert all(m.dtype == bool for m in masks)
 
+    def test_backward_peaks_little_above_its_cache(self):
+        # gradients overwrite dead activations and each stack's block caches
+        # are freed as its backward ends (14.7 MB above the cache before)
+        cfg = SlatConfig()
+        rng = np.random.default_rng(13)
+        params = init_params(cfg, rng)
+        values, desc = make_batch(cfg, rng, b=32)
+
+        def run():
+            return forward(params, cfg, values, desc, train=True, rng=np.random.default_rng(1))
+
+        one_cache = retained_bytes(run()[1], exclude=params)
+        tracemalloc.start()
+        try:
+            preds, cache = run()
+            backward(params, cfg, cache, np.ones_like(preds))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - one_cache < 4e6, (peak / 1e6, one_cache / 1e6)
+
+    def test_consumed_cache_is_refused(self):
+        rng = np.random.default_rng(19)
+        params = init_params(TINY, rng)
+        values, desc = make_batch(TINY, rng)
+        preds, cache = forward(params, TINY, values, desc, train=True)
+        backward(params, TINY, cache, np.ones_like(preds))
+        with pytest.raises(ValueError, match="consumed"):
+            backward(params, TINY, cache, np.ones_like(preds))
+
+    @pytest.mark.parametrize("rank", [2, None], ids=["lowrank", "dense"])
+    def test_gradient_key_order_is_pinned(self, rank):
+        # clip_gradients sums the norm in this order, so changing it changes
+        # the clip scale's last bits and with them every later step
+        cfg = replace(TINY, time_blocks=2, rank=rank)
+        rng = np.random.default_rng(20)
+        params = init_params(cfg, rng)
+        values, desc = make_batch(cfg, rng)
+        preds, cache = forward(params, cfg, values, desc, train=True)
+        grads = backward(params, cfg, cache, np.ones_like(preds))
+        attn = ["out_w", "out_b", "q_u", "k_u", "v_u"] + ([] if rank is None
+                                                          else ["q_v", "k_v", "v_v"])
+
+        def stack(name, n_blocks):
+            keys = [f"{name}.final_ln.g", f"{name}.final_ln.b"]
+            for i in reversed(range(n_blocks)):
+                p = f"{name}.{i}."
+                keys += [p + k for k in ("ffn.w2", "ffn.b2", "ffn.w1", "ffn.b1", "ln2.g", "ln2.b")]
+                keys += [f"{p}attn.{k}" for k in attn] + [f"{p}ln1.g", f"{p}ln1.b"]
+            return keys
+
+        assert list(grads) == [
+            "head.w", "head.b", *stack("decoder", cfg.decoder_blocks), "decoder.query",
+            *stack("time_enc", cfg.time_blocks), *stack("sensor_enc", cfg.sensor_blocks),
+            "time_embed.w", "time_embed.b",
+            "sensor_embed.ident", "sensor_embed.w", "sensor_embed.b"]
+
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(10)
         params = init_params(TINY, rng)

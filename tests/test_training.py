@@ -224,3 +224,13 @@ def test_one_batch_of_activations_alive_at_a_time():
     del cache
     epoch = _traced_peak(lambda: train(windows, cfg, TrainConfig(epochs=1, val_fraction=0.0)))
     assert epoch - one_step < one_cache, (epoch / 1e6, one_step / 1e6, one_cache / 1e6)
+
+
+def test_train_does_not_copy_its_windows():
+    # each batch is gathered from the caller's windows through the shuffled
+    # training indices, so train() holds no second copy of the training set
+    windows = make_samples(8000)
+    size = sum(a.nbytes for a in vars(windows).values())
+    peak = _traced_peak(lambda: train(windows, TINY, TrainConfig(
+        epochs=1, batch_size=64, val_fraction=0.0)))
+    assert peak < size, (peak / 1e6, size / 1e6)
