@@ -19,7 +19,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import corpus as corpus_mod
 from .evaluation import (ConstantMeanBaseline, LinearWindowBaseline,
-                         evaluate, model_predictor, rtf_series, write_rtf_csv)
+                         evaluate, model_predictor, write_rtf_csv)
 from .gradcheck import check_model_gradients
 from .model import SlatConfig
 from .training import TrainConfig, train, write_history
@@ -190,10 +190,11 @@ def _cmd_rtf(args) -> int:
     if tid not in corpus.trajectories:
         raise ValueError(f"unknown trajectory id {tid!r}; "
                          f"have {', '.join(corpus.ids())}")
-    series = rtf_series(predict, corpus.trajectories[tid], corpus.stats,
-                        corpus.n_stw, corpus.label_config)
-    write_rtf_csv(args.out, series)
-    print(f"wrote {len(series.t)} rows for {tid} ({series.mode}) to {args.out}")
+    traj = corpus.trajectories[tid]
+    report = evaluate(predict, [traj], corpus.stats, corpus.n_stw, 1, corpus.label_config)
+    t, true_rul, pred_rul = report.series[tid]
+    write_rtf_csv(args.out, t, true_rul, pred_rul)
+    print(f"wrote {len(t)} rows for {tid} ({traj.mode.value}) to {args.out}")
     return 0
 
 

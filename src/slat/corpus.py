@@ -21,7 +21,7 @@ import numpy as np
 from . import simulator
 from .simulator import SimConfig, simulate_trajectory, trajectory_seed
 from .windowing import (FaultMode, LabelConfig, NormStats, Trajectory,
-                        collect_descriptors, fit_norm_stats, label_rul)
+                        fit_norm_stats, label_rul)
 
 FORMAT_TAG = "slat-corpus-v1"
 TRAIN_FRAC = 0.8  # share of each mode's trajectories in the train split
@@ -32,9 +32,9 @@ _MANIFEST_TYPES = {"master_seed": int, "n_stw": int, "stride": int, "rul_cap": f
 _RECORD_TYPES = {"id": str, "mode": str, "file": str, "failure_index": int, "split": str}
 
 
-def _write_trajectory_csv(path: Path, traj: Trajectory, cap: float):
+def _write_trajectory_csv(path: Path, traj: Trajectory, label_cfg: LabelConfig):
     """One pass and one write; the bytes equal csv.writer's (no field needs quoting)."""
-    rul = label_rul(traj, LabelConfig(rul_cap=cap))
+    rul = label_rul(traj, label_cfg)
     lines = [",".join(["t", *(f"ch_{i}" for i in range(traj.n_channels)), "rul"])]
     lines += [f"{t},{','.join(map(repr, row))},{r!r}"
               for t, (row, r) in enumerate(zip(traj.channels.tolist(), rul.tolist()))]
@@ -153,12 +153,16 @@ def generate_corpus(out_dir, master_seed: int, n_per_mode: int = 10,
                     noise_scale: float = 1.0,
                     sim_configs: Sequence[SimConfig] | None = None) -> Corpus:
     """Simulate every fault mode, split per mode, fit train-split stats and
-    write the corpus. Returns the loaded result."""
+    write the corpus. Returns the loaded result. Settings that cannot make a
+    corpus raise ValueError before the output directory is created."""
+    label_cfg = LabelConfig(rul_cap=rul_cap)
     if sim_configs is None:
         sim_configs = [SimConfig(mode=m, n_trajectories=n_per_mode,
                                  noise_scale=noise_scale) for m in FaultMode]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if len({cfg.mode for cfg in sim_configs}) < len(sim_configs):
+        raise ValueError("sim_configs repeat a fault mode; give each mode one config")
+    if len({cfg.noise_scale for cfg in sim_configs}) > 1:
+        raise ValueError("sim_configs mix noise_scale values; the manifest records one")
 
     trajs: dict = {}
     meta: dict = {}
@@ -188,8 +192,7 @@ def generate_corpus(out_dir, master_seed: int, n_per_mode: int = 10,
         meta[tid]["split"] = split[tid]
 
     train_trajs = [trajs[t] for t in sorted(trajs) if split[t] == "train"]
-    descriptors = collect_descriptors(train_trajs, n_stw, stride)
-    stats = fit_norm_stats(train_trajs, descriptors)
+    stats = fit_norm_stats(train_trajs, n_stw, stride)
 
     manifest = {
         "format": FORMAT_TAG,
@@ -204,8 +207,10 @@ def generate_corpus(out_dir, master_seed: int, n_per_mode: int = 10,
         "trajectories": [meta[t] for t in sorted(meta)],
     }
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for tid in sorted(trajs):
-        _write_trajectory_csv(out / meta[tid]["file"], trajs[tid], rul_cap)
+        _write_trajectory_csv(out / meta[tid]["file"], trajs[tid], label_cfg)
     with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

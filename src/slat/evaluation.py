@@ -1,16 +1,17 @@
 """Evaluation reports, remaining-lifetime-over-time export and baselines.
 
-Per-mode RMSE is computed over every test window of that mode; the headline
-number is the unweighted mean across the modes actually present, so a mode
-with many windows cannot drown out a rare one. The RTF export replays one
-trajectory at stride 1 and emits (t, true, predicted) rows, which is the
-plot practitioners actually look at.
+``evaluate`` is the one scoring path. Per-mode RMSE is computed over every
+test window of that mode; the headline number is the unweighted mean across
+the modes actually present, so a mode with many windows cannot drown out a
+rare one. The report also keeps each trajectory's series: window end steps,
+targets and predictions. The RTF export is that series for one trajectory
+scored at stride 1, written as (t, true, predicted) rows, which is the plot
+practitioners actually look at.
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -39,6 +40,7 @@ def rmse(preds, targets) -> float:
 class EvalReport:
     per_mode: dict
     counts: dict = field(default_factory=dict)
+    series: dict = field(default_factory=dict)  # traj id -> (end steps, targets, preds)
 
     @property
     def average(self) -> float:
@@ -78,28 +80,24 @@ def evaluate(predict_fn: Callable, trajectories: Sequence[Trajectory],
     """Score a predictor on whole trajectories, grouped by fault mode.
 
     ``predict_fn(values, descriptors) -> preds`` receives normalized,
-    stacked window batches.
+    stacked window batches, one call per trajectory.
     """
     sq_err: dict = {}
-    counts: dict = {}
+    series: dict = {}
     for traj in trajectories:
         w = build_dataset([traj], n_stw, stride, label_cfg, stats)
         preds = np.asarray(predict_fn(w.values, w.descriptors), dtype=np.float64)
         if preds.shape != w.targets.shape:
             raise ValueError(
                 f"predictor returned shape {preds.shape}, wanted {w.targets.shape}")
-        key = traj.mode.value
-        sq_err.setdefault(key, []).append((preds - w.targets) ** 2)
-        counts[key] = counts.get(key, 0) + len(w)
+        sq_err.setdefault(traj.mode.value, []).append((preds - w.targets) ** 2)
+        series[traj.traj_id] = (np.arange(n_stw - 1, traj.n_steps, stride), w.targets, preds)
     if not sq_err:
         raise ValueError("no trajectories to evaluate")
     per_mode = {m: float(np.sqrt(np.mean(np.concatenate(errs))))
                 for m, errs in sq_err.items()}
-    report = EvalReport(per_mode=per_mode, counts=counts)
-    if report.missing:
-        warnings.warn(f"modes absent from evaluation set: {', '.join(report.missing)}; "
-                      "average covers present modes only", stacklevel=2)
-    return report
+    counts = {m: sum(map(len, errs)) for m, errs in sq_err.items()}
+    return EvalReport(per_mode=per_mode, counts=counts, series=series)
 
 
 def model_predictor(params: dict, cfg: SlatConfig) -> Callable:
@@ -108,32 +106,12 @@ def model_predictor(params: dict, cfg: SlatConfig) -> Callable:
     return predict
 
 
-@dataclass
-class RtfSeries:
-    traj_id: str
-    mode: str
-    t: np.ndarray
-    true_rul: np.ndarray
-    pred_rul: np.ndarray
-
-
-def rtf_series(predict_fn: Callable, traj: Trajectory, stats: NormStats,
-               n_stw: int, label_cfg: LabelConfig) -> RtfSeries:
-    """Stride-1 remaining-lifetime trace over one trajectory."""
-    w = build_dataset([traj], n_stw, 1, label_cfg, stats)
-    preds = np.asarray(predict_fn(w.values, w.descriptors), dtype=np.float64)
-    return RtfSeries(traj_id=traj.traj_id, mode=traj.mode.value,
-                     t=np.arange(n_stw - 1, traj.n_steps),
-                     true_rul=w.targets, pred_rul=preds)
-
-
-def write_rtf_csv(path, series: RtfSeries) -> None:
+def write_rtf_csv(path, t, true_rul, pred_rul) -> None:
     with open(Path(path), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "true_rul", "pred_rul"])
-        for i in range(len(series.t)):
-            writer.writerow([int(series.t[i]), repr(float(series.true_rul[i])),
-                             repr(float(series.pred_rul[i]))])
+        for i in range(len(t)):
+            writer.writerow([int(t[i]), repr(float(true_rul[i])), repr(float(pred_rul[i]))])
 
 
 @dataclass

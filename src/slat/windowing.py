@@ -7,8 +7,9 @@ with training statistics, enriched with per-channel mean/slope descriptors
 (computed on raw values, then z-scored with their own statistics), and
 labelled with the capped RUL at the window's last step. One strided view per
 trajectory cuts the windows (the k-th starts at step k * stride); it is the
-only window enumeration, and every consumer reads the stacked arrays of
-:class:`Windows` that ``build_dataset`` returns.
+only window enumeration. ``build_dataset`` stacks its windows into
+:class:`Windows`, which every consumer reads, and ``fit_norm_stats`` takes
+the descriptor statistics over the same views.
 """
 
 from __future__ import annotations
@@ -153,21 +154,15 @@ def label_rul(traj: Trajectory, cfg: LabelConfig) -> np.ndarray:
     return np.minimum(cfg.rul_cap, steps_left)
 
 
-def collect_descriptors(trajs: Sequence[Trajectory], n_stw: int, stride: int) -> np.ndarray:
-    """Stacked raw descriptor vectors of every window of every trajectory."""
-    return np.concatenate([compute_descriptors(_window_view(t, n_stw, stride)) for t in trajs])
-
-
-def fit_norm_stats(train_trajs: Sequence[Trajectory], descriptors: np.ndarray) -> NormStats:
-    """Channel stats over all training steps; descriptor stats over all
-    training windows. Population std; exactly-constant features get std 1."""
+def fit_norm_stats(train_trajs: Sequence[Trajectory], n_stw: int, stride: int) -> NormStats:
+    """Channel stats over all training steps; descriptor stats over the raw
+    descriptors of every training window (cut as ``build_dataset`` cuts them).
+    Population std; exactly-constant features get std 1."""
     if len(train_trajs) == 0:
         raise ValueError("need at least one training trajectory")
     stacked = np.concatenate([t.channels for t in train_trajs], axis=0)
-    descriptors = np.asarray(descriptors, dtype=np.float64)
-    if descriptors.ndim != 2 or descriptors.shape[1] != 2 * stacked.shape[1]:
-        raise ValueError(
-            f"descriptor matrix must be (W, {2 * stacked.shape[1]}), got {descriptors.shape}")
+    descriptors = np.concatenate(
+        [compute_descriptors(_window_view(t, n_stw, stride)) for t in train_trajs])
 
     def _stats(x):
         mean = x.mean(axis=0)

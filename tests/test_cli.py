@@ -4,7 +4,6 @@ import math
 import shlex
 import shutil
 import struct
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -130,15 +129,24 @@ class TestGenerate:
         stdout = capsys.readouterr().out
         assert "8 trajectories" in stdout
 
-    @pytest.mark.parametrize("scale", ["nan", "inf"])
-    def test_non_finite_noise_scale_is_runtime_error(self, tmp_path, capsys, scale):
-        # a NaN scale used to skip the noise and write NaN into manifest.json
+    @pytest.mark.parametrize("args, named", [
+        (["--noise-scale", "nan"], "noise_scale"),
+        (["--noise-scale", "inf"], "noise_scale"),
+        (["--rul-cap", "0"], "rul_cap"),
+        (["--rul-cap", "nan"], "rul_cap"),
+        (["--stride", "0"], "stride"),
+        (["--n-stw", "1"], "window length"),
+        (["--n-stw", "400", "--seed", "1"], "PL_000 has 397 steps, need >= 800"),
+    ], ids=["nan", "inf", "rul_cap_zero", "rul_cap_nan", "stride_zero", "n_stw_one",
+            "n_stw_too_long"])
+    def test_non_finite_noise_scale_is_runtime_error(self, tmp_path, capsys, args, named):
+        # a NaN noise scale used to skip the noise and write NaN into
+        # manifest.json; every case here used to leave an empty --out behind
         out = tmp_path / "c"
-        rc = main(["generate", "--out", str(out), "--seed", "3",
-                   "--trajectories", "2", "--noise-scale", scale])
+        rc = main(["generate", "--out", str(out), "--seed", "3", "--trajectories", "2", *args])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "noise_scale" in err and len(err.strip().splitlines()) == 1
+        assert named in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
     def test_seed_reproduces_bytes(self, tmp_path):
@@ -193,13 +201,11 @@ class TestTrain:
     @pytest.mark.parametrize("lr, named", [("inf", "learning_rate"),
                                            ("1e300", "training diverged")])
     def test_bad_learning_rate_is_one_line(self, workdir, tmp_path, capsys, lr, named):
-        # a warning raises here, so numpy's overflow warnings on the way to the
-        # divergence check would fail the command, not print beside its error
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = main(["train", "--corpus", str(workdir["corpus"]),
-                       "--out", str(tmp_path / "run"), "--epochs", "1", "--lr", lr,
-                       "--model-config", str(workdir["model_json"])])
+        # the suite turns warnings into errors, so numpy's overflow warnings on
+        # the way to the divergence check would fail the command here
+        rc = main(["train", "--corpus", str(workdir["corpus"]),
+                   "--out", str(tmp_path / "run"), "--epochs", "1", "--lr", lr,
+                   "--model-config", str(workdir["model_json"])])
         assert rc == 2
         err = capsys.readouterr().err
         assert named in err and len(err.strip().splitlines()) == 1

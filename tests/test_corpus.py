@@ -8,7 +8,7 @@ import pytest
 from slat.corpus import (_read_trajectory_csv, _write_trajectory_csv, generate_corpus,
                          load_corpus)
 from slat.simulator import CHANNELS, MODE_BASE_RATE, SimConfig, simulate_trajectory
-from slat.windowing import FaultMode, Trajectory
+from slat.windowing import FaultMode, LabelConfig, Trajectory
 
 
 def fast_configs(n=2):
@@ -41,11 +41,9 @@ class TestManifest:
             assert len(train) == 4  # max(1, round(0.2*5)) = 1 held out
 
     def test_norm_stats_fitted_on_train_split_only(self, small_corpus):
-        from slat.windowing import collect_descriptors, fit_norm_stats
+        from slat.windowing import fit_norm_stats
         stats = small_corpus.stats
-        want = fit_norm_stats(
-            small_corpus.train_trajectories(),
-            collect_descriptors(small_corpus.train_trajectories(), 30, 1))
+        want = fit_norm_stats(small_corpus.train_trajectories(), 30, 1)
         np.testing.assert_allclose(stats.channel_mean, want.channel_mean,
                                    atol=1e-12)
         np.testing.assert_allclose(stats.descriptor_std, want.descriptor_std,
@@ -99,7 +97,7 @@ class TestMatchesCsvModuleOracle:
     def test_writer_bytes_and_reader_arrays(self, tmp_path, cap):
         for k, traj in enumerate(self.trajectories()):
             ours, ref = tmp_path / f"{k}.csv", tmp_path / f"{k}_ref.csv"
-            _write_trajectory_csv(ours, traj, cap)
+            _write_trajectory_csv(ours, traj, LabelConfig(rul_cap=cap))
             oracles.write_trajectory_csv_reference(ref, traj.channels, cap)
             assert ours.read_bytes() == ref.read_bytes()
             rec = {"id": "x", "mode": traj.mode.value, "failure_index": traj.failure_index}
@@ -164,3 +162,19 @@ class TestLoading:
         with pytest.raises(ValueError):
             generate_corpus(tmp_path / "short", master_seed=0,
                             sim_configs=fast_configs(), n_stw=200)
+
+    @pytest.mark.parametrize("cfgs, named", [
+        # the case that overwrote VOA_000 and VOA_001 and drew the VOA split twice
+        ([*fast_configs(), SimConfig(mode=FaultMode.VOA, noise_scale=0.0)], "repeat a fault mode"),
+        ([*fast_configs(), SimConfig(mode=FaultMode.VOA)], "repeat a fault mode"),
+        # the manifest recorded the first config's noise_scale for every run
+        ([*fast_configs()[:3], SimConfig(mode=FaultMode.PassiveComponents, noise_scale=0.0)],
+         "mix noise_scale"),
+    ], ids=["repeated_mode_other_noise", "repeated_mode", "mixed_noise_scales"])
+    def test_bad_sim_configs_refused_before_simulating(self, tmp_path, monkeypatch,
+                                                       cfgs, named):
+        import slat.corpus
+        monkeypatch.setattr(slat.corpus, "simulate_trajectory", None)  # a call would fail
+        with pytest.raises(ValueError, match=named):
+            generate_corpus(tmp_path / "c", master_seed=0, sim_configs=cfgs, n_stw=30)
+        assert not (tmp_path / "c").exists()

@@ -5,10 +5,9 @@ import pytest
 
 from slat.evaluation import (ConstantMeanBaseline, EvalReport,
                              LinearWindowBaseline, evaluate, model_predictor,
-                             rmse, rtf_series, write_rtf_csv)
+                             rmse, write_rtf_csv)
 from slat.model import SlatConfig, init_params
 from slat.windowing import (FaultMode, LabelConfig, Trajectory, Windows,
-                            build_dataset, collect_descriptors,
                             fit_norm_stats, label_rul)
 
 
@@ -23,7 +22,7 @@ def make_traj(n_steps, mode, seed, n_ch=3):
 def tiny_setup():
     trajs = [make_traj(50, FaultMode.PumpLaser, 1),
              make_traj(60, FaultMode.VOA, 2)]
-    stats = fit_norm_stats(trajs, collect_descriptors(trajs, 8, 1))
+    stats = fit_norm_stats(trajs, 8, 1)
     return trajs, stats
 
 
@@ -69,7 +68,6 @@ class TestReport:
 
 
 class TestEvaluate:
-    @pytest.mark.filterwarnings("ignore:modes absent")
     def test_perfect_oracle_scores_zero(self, tiny_setup):
         trajs, stats = tiny_setup
         label_cfg = LabelConfig(rul_cap=30.0)
@@ -91,15 +89,14 @@ class TestEvaluate:
         assert report.per_mode["VOA"] == 0.0
         assert report.average == 0.0
 
-    def test_missing_modes_warned_and_excluded(self, tiny_setup):
+    def test_missing_modes_reported_and_excluded(self, tiny_setup):
         trajs, stats = tiny_setup
-        with pytest.warns(UserWarning, match="PD"):
-            report = evaluate(lambda v, d: np.zeros(v.shape[0]),
-                              trajs[:1], stats, 8, 1, LabelConfig(rul_cap=30.0))
+        report = evaluate(lambda v, d: np.zeros(v.shape[0]),
+                          trajs[:1], stats, 8, 1, LabelConfig(rul_cap=30.0))
         assert set(report.per_mode) == {"PL"}
-        assert set(report.missing) == {"PD", "VOA", "PC"}
+        assert report.missing == ["PD", "VOA", "PC"]
+        assert report.to_text().splitlines()[-1] == "(absent modes excluded: PD, VOA, PC)"
 
-    @pytest.mark.filterwarnings("ignore:modes absent")
     def test_counts_match_window_math(self, tiny_setup):
         trajs, stats = tiny_setup
         report = evaluate(lambda v, d: np.zeros(v.shape[0]), trajs, stats,
@@ -107,7 +104,6 @@ class TestEvaluate:
         assert report.counts["PL"] == 50 - 8 + 1
         assert report.counts["VOA"] == 60 - 8 + 1
 
-    @pytest.mark.filterwarnings("ignore:modes absent")
     def test_model_predictor_closures_work(self, tiny_setup):
         trajs, stats = tiny_setup
         cfg = SlatConfig(n_stw=8, n_channels=3, d_model=8, time_blocks=1,
@@ -118,34 +114,54 @@ class TestEvaluate:
                           LabelConfig(rul_cap=30.0))
         assert np.isfinite(report.average)
 
+    def test_series_keeps_each_trajectorys_steps_targets_and_predictions(self, tiny_setup):
+        """At stride 2, window k of a trajectory ends at step n_stw - 1 + 2k;
+        its target is the label there and its prediction is what the
+        predictor returned for it, in order."""
+        trajs, stats = tiny_setup
+        label_cfg = LabelConfig(rul_cap=30.0)
+        returned = {}
+
+        def predictor(values, descriptors):
+            preds = np.random.default_rng(len(returned)).uniform(0, 30, len(values))
+            returned[len(returned)] = preds
+            return preds
+
+        report = evaluate(predictor, trajs, stats, 8, 2, label_cfg)
+        assert list(report.series) == [t.traj_id for t in trajs]
+        for i, traj in enumerate(trajs):
+            t, targets, preds = report.series[traj.traj_id]
+            assert t.tolist() == [7 + 2 * k for k in range((traj.n_steps - 8) // 2 + 1)]
+            np.testing.assert_array_equal(targets, label_rul(traj, label_cfg)[t])
+            np.testing.assert_array_equal(preds, returned[i])
+
 
 class TestRtf:
-    @pytest.mark.filterwarnings("ignore:modes absent")
     def test_series_aligned_with_labels(self, tiny_setup):
         trajs, stats = tiny_setup
         traj = trajs[0]
         label_cfg = LabelConfig(rul_cap=30.0)
-        series = rtf_series(lambda v, d: np.zeros(v.shape[0]), traj, stats,
-                            8, label_cfg)
-        assert series.t[0] == 7
-        assert series.t[-1] == traj.n_steps - 1
-        assert len(series.t) == traj.n_steps - 8 + 1
-        assert series.true_rul[-1] == 0.0
-        np.testing.assert_array_equal(
-            series.true_rul, label_rul(traj, label_cfg)[series.t])
+        report = evaluate(lambda v, d: np.zeros(v.shape[0]), [traj], stats,
+                          8, 1, label_cfg)
+        t, true_rul, _ = report.series[traj.traj_id]
+        assert t[0] == 7
+        assert t[-1] == traj.n_steps - 1
+        assert len(t) == traj.n_steps - 8 + 1
+        assert true_rul[-1] == 0.0
+        np.testing.assert_array_equal(true_rul, label_rul(traj, label_cfg)[t])
 
     def test_too_short_trajectory_rejected(self, tiny_setup):
         trajs, stats = tiny_setup
-        with pytest.raises(ValueError):
-            rtf_series(lambda v, d: np.zeros(v.shape[0]),
-                       make_traj(5, FaultMode.VOA, 3), stats, 8, LabelConfig())
+        with pytest.raises(ValueError, match="5 steps < window length 8"):
+            evaluate(lambda v, d: np.zeros(v.shape[0]),
+                     [make_traj(5, FaultMode.VOA, 3)], stats, 8, 1, LabelConfig())
 
     def test_csv_format(self, tmp_path, tiny_setup):
         trajs, stats = tiny_setup
-        series = rtf_series(lambda v, d: np.full(v.shape[0], 2.5), trajs[0],
-                            stats, 8, LabelConfig(rul_cap=30.0))
+        report = evaluate(lambda v, d: np.full(v.shape[0], 2.5), trajs[:1],
+                          stats, 8, 1, LabelConfig(rul_cap=30.0))
         path = tmp_path / "rtf.csv"
-        write_rtf_csv(path, series)
+        write_rtf_csv(path, *report.series[trajs[0].traj_id])
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "true_rul", "pred_rul"]

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from oracles import naive_mean_slope, naive_rul, naive_window_starts
 from slat.windowing import (FaultMode, LabelConfig, NormStats, Trajectory,
-                            build_dataset, collect_descriptors,
-                            compute_descriptors, fit_norm_stats, label_rul)
+                            build_dataset, compute_descriptors, fit_norm_stats,
+                            label_rul)
 
 IDENTITY = NormStats(np.zeros(1), np.ones(1), np.zeros(2), np.ones(2))
 
@@ -116,30 +116,27 @@ class TestNormStats:
     def test_population_std_example(self):
         # values 2, 4, 6 -> population std sqrt(8/3)
         traj = make_traj(np.array([[2.0], [4.0], [6.0]]))
-        desc = collect_descriptors([traj], 2, 1)
-        stats = fit_norm_stats([traj], desc)
+        stats = fit_norm_stats([traj], 2, 1)
         assert stats.channel_mean[0] == pytest.approx(4.0)
         assert stats.channel_std[0] == pytest.approx(np.sqrt(8.0 / 3.0), abs=1e-12)
 
     def test_constant_channel_gets_unit_std(self):
         traj = make_traj(np.full((10, 2), 7.0))
-        desc = collect_descriptors([traj], 3, 1)
-        stats = fit_norm_stats([traj], desc)
+        stats = fit_norm_stats([traj], 3, 1)
         np.testing.assert_array_equal(stats.channel_std, [1.0, 1.0])
         normed = stats.normalize_values(traj.channels)
         np.testing.assert_allclose(normed, 0.0)
 
     def test_empty_train_set_rejected(self):
         with pytest.raises(ValueError):
-            fit_norm_stats([], np.zeros((0, 2)))
+            fit_norm_stats([], 2, 1)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=25)
     def test_roundtrip(self, seed):
         rng = np.random.default_rng(seed)
         traj = make_traj(rng.normal(3, 5, size=(40, 3)))
-        desc = collect_descriptors([traj], 5, 2)
-        stats = fit_norm_stats([traj], desc)
+        stats = fit_norm_stats([traj], 5, 2)
         x = rng.normal(0, 2, size=(7, 3))
         np.testing.assert_allclose(
             stats.normalize_values(x) * stats.channel_std + stats.channel_mean, x, atol=1e-9)
@@ -150,8 +147,7 @@ class TestNormStats:
 
     def test_dict_roundtrip(self):
         traj = make_traj(np.random.default_rng(0).normal(size=(20, 2)))
-        desc = collect_descriptors([traj], 4, 1)
-        stats = fit_norm_stats([traj], desc)
+        stats = fit_norm_stats([traj], 4, 1)
         back = NormStats.from_dict(stats.to_dict())
         np.testing.assert_array_equal(back.channel_mean, stats.channel_mean)
         np.testing.assert_array_equal(back.descriptor_std, stats.descriptor_std)
@@ -161,8 +157,7 @@ class TestBuildDataset:
     def test_targets_at_window_end(self):
         # T=6, n=3 -> windows end at steps 2..5 -> targets 3, 2, 1, 0
         traj = make_traj(np.arange(12, dtype=float).reshape(6, 2))
-        desc = collect_descriptors([traj], 3, 1)
-        stats = fit_norm_stats([traj], desc)
+        stats = fit_norm_stats([traj], 3, 1)
         samples = build_dataset([traj], 3, 1, LabelConfig(rul_cap=100.0), stats)
         assert samples.targets.tolist() == [3.0, 2.0, 1.0, 0.0]
         assert all(t == "t0" for t in samples.traj_ids)
@@ -170,8 +165,7 @@ class TestBuildDataset:
     def test_values_are_normalized(self):
         rng = np.random.default_rng(3)
         traj = make_traj(rng.normal(50, 9, size=(60, 4)))
-        desc = collect_descriptors([traj], 10, 1)
-        stats = fit_norm_stats([traj], desc)
+        stats = fit_norm_stats([traj], 10, 1)
         samples = build_dataset([traj], 10, 1, LabelConfig(), stats)
         all_vals = samples.values
         assert abs(float(all_vals.mean())) < 0.5
@@ -181,8 +175,7 @@ class TestBuildDataset:
     def test_descriptors_computed_on_raw_values(self):
         rng = np.random.default_rng(4)
         traj = make_traj(rng.normal(100, 20, size=(40, 2)))
-        desc = collect_descriptors([traj], 8, 1)
-        stats = fit_norm_stats([traj], desc)
+        stats = fit_norm_stats([traj], 8, 1)
         samples = build_dataset([traj], 8, 1, LabelConfig(), stats)
         expected = stats.normalize_descriptors(
             compute_descriptors(traj.channels[0:8]))
@@ -221,8 +214,11 @@ class TestBuildDataset:
         assert np.array_equal(got.descriptors, np.array(descriptors))
         assert np.array_equal(got.targets, np.array(targets))
         assert got.traj_ids.tolist() == ids
-        assert np.array_equal(collect_descriptors(trajs, n_stw, stride),
-                              np.array(raw_desc))
+        fitted = fit_norm_stats(trajs, n_stw, stride)
+        raw_desc = np.array(raw_desc)
+        assert np.array_equal(fitted.descriptor_mean, raw_desc.mean(axis=0))
+        std = raw_desc.std(axis=0)
+        assert np.array_equal(fitted.descriptor_std, np.where(std == 0.0, 1.0, std))
 
     def test_short_trajectory_names_both_lengths(self):
         traj = make_traj(np.zeros((5, 2)))
@@ -230,7 +226,7 @@ class TestBuildDataset:
         with pytest.raises(ValueError, match="5 steps < window length 8"):
             build_dataset([traj], 8, 1, LabelConfig(), stats)
         with pytest.raises(ValueError, match="5 steps < window length 8"):
-            collect_descriptors([traj], 8, 1)
+            fit_norm_stats([traj], 8, 1)
 
 
 class TestTrajectory:
