@@ -39,16 +39,14 @@ def build_mask(length: int, band_width: int, n_global: int) -> np.ndarray:
     return dense
 
 
-def masked_softmax(logits: np.ndarray, allowed: np.ndarray | None) -> np.ndarray:
+def masked_softmax(logits: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """Row softmax over the last axis, restricted to ``allowed`` entries:
-    disallowed logits are excluded entirely (weight exactly 0)."""
-    # one fresh array, shifted by the max of the surviving entries (masks keep
-    # the diagonal, so each row has one), exponentiated and normalized in place
-    if allowed is None:
-        out = logits - logits.max(axis=-1, keepdims=True)
-    else:
-        out = np.where(allowed, logits, -np.inf)
-        out -= out.max(axis=-1, keepdims=True)
+    disallowed logits are excluded entirely (weight exactly 0). An all-True
+    mask gives the plain softmax bit for bit."""
+    # one fresh array, shifted by the max of the surviving entries (every
+    # mask row allows at least one entry), exponentiated and normalized in place
+    out = np.where(allowed, logits, -np.inf)
+    out -= out.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
@@ -88,11 +86,11 @@ def _wide_weight(weights: dict):
     return u, v, wide.reshape(d, -1)
 
 
-def mha_forward(x_q: np.ndarray, x_kv: np.ndarray, weights: dict, allowed: np.ndarray | None):
+def mha_forward(x_q: np.ndarray, x_kv: np.ndarray, weights: dict, allowed: np.ndarray):
     """Multi-head attention of x_q (B, Lq, d_model) over x_kv (B, Lk, d_model).
 
     ``weights`` holds q_u/k_u/v_u (and the matching *_v factors when
-    low-rank) plus out_w/out_b; ``allowed`` is a (Lq, Lk) bool mask or None.
+    low-rank) plus out_w/out_b; ``allowed`` is a (Lq, Lk) bool mask.
     Returns (output (B, Lq, d_model), cache).
     """
     b, lq, d = x_q.shape

@@ -70,13 +70,7 @@ def _read_checkpoint(fh):
     if head_len > size - fh.tell():
         raise ValueError(f"header length {head_len} exceeds the {size - fh.tell()} bytes left")
     header = json.loads(fh.read(head_len).decode("utf-8"))
-    config = dict(header["config"])
-    config.pop("dtype", None)  # a field of configs written before all models were float64
-    # configs written when SlatConfig had two masking rules name theirs
-    mask_mode = config.pop("mask_mode", "neg_inf")
-    if mask_mode != "neg_inf":
-        raise ValueError(f"config field mask_mode={mask_mode!r}: that masking rule is gone")
-    cfg = SlatConfig.from_dict(config)
+    cfg = SlatConfig.from_dict(header["config"])
     shapes = sorted(param_shapes(cfg))
     index = [{"name": name, "shape": list(shape)} for name, shape in shapes]
     for i, (stored, want) in enumerate(zip_longest(header["tensors"], index)):

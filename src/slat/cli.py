@@ -18,8 +18,8 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import corpus as corpus_mod
-from .evaluation import (ConstantMeanBaseline, LinearWindowBaseline,
-                         evaluate, model_predictor, write_rtf_csv)
+from .evaluation import (constant_baseline, evaluate, linear_baseline,
+                         model_predictor, write_rtf_csv)
 from .gradcheck import check_model_gradients
 from .model import SlatConfig
 from .training import TrainConfig, train, write_history
@@ -123,9 +123,9 @@ def _cmd_train(args) -> int:
                             seed=args.seed)
     windows = build_dataset(corpus.train_trajectories(), corpus.n_stw,
                             corpus.stride, corpus.label_config, corpus.stats)
-    result = train(windows, model_cfg, train_cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before training
+    result = train(windows, model_cfg, train_cfg)
     pipeline = {
         **corpus.contract,
         "train_config": train_cfg.to_dict(),
@@ -203,12 +203,12 @@ def _cmd_baseline(args) -> int:
     windows = build_dataset(corpus.train_trajectories(), corpus.n_stw,
                             corpus.stride, corpus.label_config, corpus.stats)
     if args.kind == "constant":
-        model = ConstantMeanBaseline(rul_cap=corpus.rul_cap).fit(windows)
+        predict = constant_baseline(windows, corpus.rul_cap)
     else:
-        model = LinearWindowBaseline(rul_cap=corpus.rul_cap).fit(windows)
-        if model.used_ridge:
+        predict, used_ridge = linear_baseline(windows, corpus.rul_cap)
+        if used_ridge:
             print("note: normal equations were singular, used ridge fallback")
-    report = evaluate(model.predict, corpus.test_trajectories(), corpus.stats,
+    report = evaluate(predict, corpus.test_trajectories(), corpus.stats,
                       corpus.n_stw, corpus.stride, corpus.label_config)
     print(f"baseline: {args.kind}")
     _print_report(report, args.json)
@@ -241,6 +241,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # generate, train and gradcheck take one
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"slat: error: {exc}", file=sys.stderr)

@@ -114,62 +114,43 @@ def write_rtf_csv(path, t, true_rul, pred_rul) -> None:
             writer.writerow([int(t[i]), repr(float(true_rul[i])), repr(float(pred_rul[i]))])
 
 
-@dataclass
-class ConstantMeanBaseline:
-    """Predicts the training-set mean target for every window."""
+def constant_baseline(windows: Windows, rul_cap: float) -> Callable:
+    """A predictor of the training-set mean target, clamped to [0, rul_cap],
+    for every window."""
+    if len(windows) == 0:
+        raise ValueError("no samples to fit")
+    value = np.clip(float(np.mean(windows.targets)), 0.0, rul_cap)
 
-    mean_target: float = 0.0
-    rul_cap: float = 125.0
-
-    def fit(self, windows: Windows) -> "ConstantMeanBaseline":
-        if len(windows) == 0:
-            raise ValueError("no samples to fit")
-        self.mean_target = float(np.mean(windows.targets))
-        return self
-
-    def predict(self, values, descriptors):
-        n = np.asarray(values).shape[0]
-        return np.full(n, np.clip(self.mean_target, 0.0, self.rul_cap))
+    def predict(values, descriptors):
+        return np.full(np.asarray(values).shape[0], value)
+    return predict
 
 
-@dataclass
-class LinearWindowBaseline:
-    """Least squares on flattened window values plus descriptors.
+def _features(values, descriptors) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    descriptors = np.asarray(descriptors, dtype=np.float64)
+    n = values.shape[0]
+    return np.concatenate([values.reshape(n, -1), descriptors.reshape(n, -1), np.ones((n, 1))],
+                          axis=1)
+
+
+def linear_baseline(windows: Windows, rul_cap: float):
+    """Least squares on flattened window values plus descriptors, clamped to
+    [0, rul_cap]. Returns (predict, used_ridge).
 
     Solves the normal equations directly; a singular system falls back to a
-    small ridge penalty and flags that it did.
+    small ridge penalty and ``used_ridge`` says that it did.
     """
+    if len(windows) == 0:
+        raise ValueError("no samples to fit")
+    x = _features(windows.values, windows.descriptors)
+    gram = x.T @ x
+    rhs = x.T @ windows.targets
+    try:
+        weights, used_ridge = np.linalg.solve(gram, rhs), False
+    except np.linalg.LinAlgError:
+        weights, used_ridge = np.linalg.solve(gram + RIDGE * np.eye(gram.shape[0]), rhs), True
 
-    rul_cap: float = 125.0
-    weights: np.ndarray | None = None
-    used_ridge: bool = False
-
-    @staticmethod
-    def _features(values, descriptors) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        descriptors = np.asarray(descriptors, dtype=np.float64)
-        n = values.shape[0]
-        feats = np.concatenate(
-            [values.reshape(n, -1), descriptors.reshape(n, -1)], axis=1)
-        return np.concatenate([feats, np.ones((n, 1))], axis=1)
-
-    def fit(self, windows: Windows) -> "LinearWindowBaseline":
-        if len(windows) == 0:
-            raise ValueError("no samples to fit")
-        x = self._features(windows.values, windows.descriptors)
-        gram = x.T @ x
-        rhs = x.T @ windows.targets
-        try:
-            self.weights = np.linalg.solve(gram, rhs)
-            self.used_ridge = False
-        except np.linalg.LinAlgError:
-            eye = np.eye(gram.shape[0])
-            self.weights = np.linalg.solve(gram + RIDGE * eye, rhs)
-            self.used_ridge = True
-        return self
-
-    def predict(self, values, descriptors):
-        if self.weights is None:
-            raise RuntimeError("baseline not fitted")
-        return np.clip(self._features(values, descriptors) @ self.weights,
-                       0.0, self.rul_cap)
+    def predict(values, descriptors):
+        return np.clip(_features(values, descriptors) @ weights, 0.0, rul_cap)
+    return predict, used_ridge

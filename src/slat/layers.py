@@ -119,10 +119,3 @@ def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
     table.flags.writeable = False
     return table
 
-
-def global_norm(arrays) -> float:
-    """Euclidean norm over the concatenation of all arrays."""
-    total = 0.0
-    for a in arrays:
-        total += float(np.sum(np.asarray(a, dtype=np.float64) ** 2))
-    return float(np.sqrt(total))

@@ -300,10 +300,12 @@ def _stack_backward(gy, params, name, cache, grads):
 # -- full network -------------------------------------------------------------
 
 @functools.lru_cache(maxsize=16)
-def masks_for(cfg: SlatConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(time mask, sensor mask) of a config as read-only bool arrays; cached."""
+def masks_for(cfg: SlatConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(time mask, sensor mask, decoder mask) of a config as read-only bool
+    arrays; cached. The decoder's query sees every encoder token."""
     return (build_mask(cfg.n_stw, cfg.band_width, cfg.n_global),
-            build_mask(cfg.n_channels, cfg.band_width, cfg.n_global))
+            build_mask(cfg.n_channels, cfg.band_width, cfg.n_global),
+            np.broadcast_to(True, (1, cfg.n_stw + cfg.n_channels)))
 
 
 def forward(params, cfg: SlatConfig, values, descriptors, *, train=False, rng=None):
@@ -325,7 +327,7 @@ def forward(params, cfg: SlatConfig, values, descriptors, *, train=False, rng=No
     if train and cfg.dropout > 0.0 and rng is None:
         raise ValueError("training forward with dropout needs an rng")
 
-    time_mask, sensor_mask = masks_for(cfg)
+    time_mask, sensor_mask, dec_mask = masks_for(cfg)
     stack = functools.partial(_stack_forward, rng=rng) if train else _infer_stack
     t_tok, t_emb_cache = _embed_time(params, cfg, values, descriptors)
     s_tok, s_emb_cache = _embed_sensor(params, cfg, values, descriptors)
@@ -335,7 +337,7 @@ def forward(params, cfg: SlatConfig, values, descriptors, *, train=False, rng=No
     q = np.broadcast_to(params["decoder.query"], (values.shape[0], 1, cfg.d_model))
     # the decoder attends to both encoders' tokens, time tokens first
     q, dec_cache = stack(q, np.concatenate([t_out, s_out], axis=-2), params, cfg,
-                         "decoder", cfg.decoder_blocks, None)
+                         "decoder", cfg.decoder_blocks, dec_mask)
     out, head_cache = layers.linear(q, params["head.w"], params["head.b"])
     cache = (t_emb_cache, s_emb_cache, t_enc_cache, s_enc_cache, dec_cache, head_cache)
     return out[:, 0, 0], cache if train else None

@@ -17,9 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from .evaluation import rmse
-from .layers import global_norm
 from .model import SlatConfig, backward, forward, init_params, predict_rul
 from .windowing import Windows
+
+# Adam's moment decay rates and the epsilon added outside the square root
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -37,9 +39,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 32
     epochs: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 1.0
     val_fraction: float = 0.1
     seed: int = 0
@@ -83,9 +82,10 @@ class AdamState:
 
 
 def clip_gradients(grads: dict, max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most max_norm.
-    Returns the pre-clip norm."""
-    norm = global_norm(list(grads.values()))
+    """Scale all gradients so their global norm is at most max_norm. Each
+    scaled gradient is a new array bound to its key, never written in place.
+    Returns the pre-clip norm, summed tensor by tensor in key order."""
+    norm = float(np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values())))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
         for k in grads:
@@ -100,20 +100,20 @@ def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> 
             raise FloatingPointError(f"non-finite gradient for {name}")
     state.step += 1
     t = state.step
-    c1 = 1.0 - cfg.beta1 ** t
-    c2 = 1.0 - cfg.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     # two temporaries per tensor; g is never written, since callers may keep it
     for name, g in grads.items():
         m, v = state.m[name], state.v[name]
-        tmp = np.multiply(g, 1.0 - cfg.beta1)
-        m *= cfg.beta1
+        tmp = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
         m += tmp
-        v *= cfg.beta2
-        v += np.multiply(np.multiply(g, g, out=tmp), 1.0 - cfg.beta2, out=tmp)
+        v *= BETA2
+        v += np.multiply(np.multiply(g, g, out=tmp), 1.0 - BETA2, out=tmp)
         # lr * (m / c1) / (sqrt(v / c2) + eps)
         step = np.multiply(np.divide(m, c1, out=tmp), cfg.learning_rate, out=tmp)
         denom = np.divide(v, c2)
-        step /= np.add(np.sqrt(denom, out=denom), cfg.eps, out=denom)
+        step /= np.add(np.sqrt(denom, out=denom), EPS, out=denom)
         params[name] -= step
 
 
@@ -143,7 +143,6 @@ class HistoryRow:
 
 @dataclass
 class TrainResult:
-    params: dict
     best_params: dict
     history: list
     best_epoch: int
@@ -160,13 +159,13 @@ def _copy_params(params: dict) -> dict:
 
 
 def train(windows: Windows, model_cfg: SlatConfig,
-          train_cfg: TrainConfig | None = None,
-          init: dict | None = None) -> TrainResult:
+          train_cfg: TrainConfig | None = None) -> TrainResult:
     """Train on windows; track the best validation checkpoint.
 
-    A trajectory-level fraction of the input is held out for validation.
-    With val_fraction 0 (or a single source trajectory) the final parameters
-    double as the best ones. ``init`` replaces the seeded initial parameters.
+    A trajectory-level fraction of the input is held out for validation, and
+    the best epoch is the one with the lowest validation RMSE. With
+    val_fraction 0 (or a single source trajectory) every epoch is the best
+    so far, so the final parameters are the best ones.
     """
     tcfg = train_cfg or TrainConfig()
     if len(windows) == 0:
@@ -175,12 +174,10 @@ def train(windows: Windows, model_cfg: SlatConfig,
         np.random.SeedSequence(entropy=(int(tcfg.seed), 0x7261494E)))
 
     train_idx, val_idx, val_ids = split_by_trajectory(windows, tcfg.val_fraction, rng)
-    if not train_idx:
-        raise ValueError("validation split consumed all trajectories")
     train_idx = np.asarray(train_idx)
     val = windows[val_idx] if val_idx else None
 
-    params = _copy_params(init) if init is not None else init_params(model_cfg, rng)
+    params = init_params(model_cfg, rng)
     state = AdamState.init(params)
     best_params = _copy_params(params)
     best_val = float("inf")
@@ -210,16 +207,10 @@ def train(windows: Windows, model_cfg: SlatConfig,
                 losses.append(loss)
                 del cache, grads  # so no two batches' activations are alive at once
 
-        if val is not None:
-            val_preds = predict_rul(params, model_cfg, (val.values, val.descriptors))
-            val_rmse = rmse(val_preds, val.targets)
-            if val_rmse < best_val:
-                best_val = val_rmse
-                best_epoch = epoch
-                best_params = _copy_params(params)
-        else:
-            val_rmse = float("nan")
-            best_epoch = epoch
+        val_rmse = float("nan") if val is None else rmse(
+            predict_rul(params, model_cfg, (val.values, val.descriptors)), val.targets)
+        if val is None or val_rmse < best_val:
+            best_val, best_epoch, best_params = val_rmse, epoch, _copy_params(params)
         train_loss = float(np.mean(losses))
         history.append(HistoryRow(epoch=epoch, train_loss=train_loss,
                                   val_rmse=val_rmse,
@@ -228,10 +219,7 @@ def train(windows: Windows, model_cfg: SlatConfig,
                 and np.sqrt(train_loss) < tcfg.stop_train_rmse):
             break
 
-    if val is None:
-        best_params = _copy_params(params)
-        best_val = float("nan")
-    return TrainResult(params=params, best_params=best_params, history=history,
+    return TrainResult(best_params=best_params, history=history,
                        best_epoch=best_epoch, best_val_rmse=best_val,
                        val_ids=val_ids)
 

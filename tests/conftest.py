@@ -1,5 +1,12 @@
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread, set before numpy loads: OpenBLAS otherwise starts one per
+# core, and beside another numpy process the threads contend for the cores,
+# so gate 5's wall-clock budget would measure the host rather than the code.
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest

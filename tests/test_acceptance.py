@@ -25,10 +25,10 @@ from slat.attention import build_mask, masked_softmax, mha_forward
 from slat.corpus import generate_corpus
 from slat.checkpoint import save_checkpoint
 from slat.evaluation import (
-    ConstantMeanBaseline,
     EvalReport,
-    LinearWindowBaseline,
+    constant_baseline,
     evaluate,
+    linear_baseline,
     model_predictor,
 )
 from slat.gradcheck import check_model_gradients
@@ -174,11 +174,11 @@ def test_model_orders_below_baselines_end_to_end(tmp_path):
     baseline_samples = build_dataset(corpus.train_trajectories(),
                                      corpus.n_stw, 1, corpus.label_config,
                                      corpus.stats)
-    linear = LinearWindowBaseline(corpus.rul_cap).fit(baseline_samples)
-    constant = ConstantMeanBaseline(corpus.rul_cap).fit(baseline_samples)
-    linear_report = evaluate(linear.predict, held_out, corpus.stats,
+    linear, _ = linear_baseline(baseline_samples, corpus.rul_cap)
+    constant = constant_baseline(baseline_samples, corpus.rul_cap)
+    linear_report = evaluate(linear, held_out, corpus.stats,
                              corpus.n_stw, 1, corpus.label_config)
-    constant_report = evaluate(constant.predict, held_out, corpus.stats,
+    constant_report = evaluate(constant, held_out, corpus.stats,
                                corpus.n_stw, 1, corpus.label_config)
 
     elapsed = time.perf_counter() - start

@@ -78,7 +78,7 @@ class TestMaskedSoftmax:
 
     def test_large_logits_stay_finite(self):
         logits = np.array([[1000.0, -1000.0, 999.0]])
-        w = masked_softmax(logits, None)
+        w = masked_softmax(logits, np.ones((1, 3), dtype=bool))
         assert np.all(np.isfinite(w))
         np.testing.assert_allclose(w.sum(), 1.0, atol=1e-12)
 
@@ -88,7 +88,7 @@ class TestMaskedSoftmax:
     def test_bit_identical_to_textbook_form(self, lead, length, seed, masked):
         rng = np.random.default_rng(seed)
         logits = rng.normal(0, 4, size=(*lead, length, length))
-        allowed = None
+        allowed = np.ones((length, length), dtype=bool)
         if masked:
             allowed = rng.random((length, length)) < 0.5
             np.fill_diagonal(allowed, True)
@@ -115,7 +115,7 @@ def _random_mha_weights(rng, d, h, e, r=None):
 
 
 # self-attention shaped (Lq = Lk, banded mask) and decoder shaped (one query
-# over 9 keys, no mask); the latter checks that the backward splits the input
+# over 9 keys, all-True mask as the decoder's); the latter checks that the backward splits the input
 # gradient between x_q and x_kv. Ids keep the name "neg_inf" of the masking
 # rule (masked logits set to -inf).
 MHA_GRAD_CASES = [(rank, lq, lk) for lq, lk in ((5, 5), (1, 9)) for rank in (None, 2)]
@@ -183,7 +183,7 @@ class TestLowRank:
         rng = np.random.default_rng(2)
         weights = _random_mha_weights(rng, 12, 1, 8, r=2)
         x = rng.normal(size=(1, 20, 12))
-        _, cache = mha_forward(x, x, weights, None)
+        _, cache = mha_forward(x, x, weights, np.ones((20, 20), dtype=bool))
         for i in (Q, K, V):
             assert np.linalg.matrix_rank(cache[i][0, 0]) <= 2
 
@@ -214,7 +214,7 @@ class TestMultiHead:
         weights = _random_mha_weights(rng, d, h, e, rank)
         x_q = rng.normal(size=(b, lq, d))
         x_kv = rng.normal(size=(b, lk, d))
-        mask = build_mask(lq, 1, 1) if lq == lk else None
+        mask = build_mask(lq, 1, 1) if lq == lk else np.ones((lq, lk), dtype=bool)
         direction = rng.normal(size=(b, lq, d))
 
         out, cache = mha_forward(x_q, x_kv, weights, mask)
@@ -247,6 +247,6 @@ class TestMultiHead:
         weights = _random_mha_weights(rng, 6, 2, 3, r=2)
         x_q = rng.normal(size=(1, 1, 6))
         x_kv = rng.normal(size=(1, 9, 6))
-        out, _ = mha_forward(x_q, x_kv, weights, None)
+        out, _ = mha_forward(x_q, x_kv, weights, np.ones((1, 9), dtype=bool))
         assert out.shape == (1, 1, 6)
 

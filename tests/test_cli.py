@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import slat.cli
 from slat.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from slat.cli import _build_parser, main
 from slat.simulator import MODE_BASE_RATE
@@ -209,6 +210,18 @@ class TestTrain:
         assert rc == 2
         err = capsys.readouterr().err
         assert named in err and len(err.strip().splitlines()) == 1
+
+    def test_unusable_out_fails_before_training(self, workdir, tmp_path, capsys,
+                                                monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(slat.cli, "train", lambda *a: pytest.fail("train() ran"))
+        rc = main(["train", "--corpus", str(workdir["corpus"]), "--out", str(blocker / "run"),
+                   "--epochs", "1", "--model-config", str(workdir["model_json"])])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "Not a directory" in err and len(err.strip().splitlines()) == 1
+        assert "trained on" not in out
 
 
 class TestEvaluate:
@@ -471,6 +484,17 @@ class TestExitCodes:
         rc = main(["evaluate", "--corpus", str(tmp_path / "missing"),
                    "--checkpoint", str(tmp_path / "missing.ckpt")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["generate", "train", "gradcheck"])
+    def test_negative_seed_is_named(self, workdir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = {"generate": ["--out", str(out)],
+                "train": ["--corpus", str(workdir["corpus"]), "--out", str(out)],
+                "gradcheck": []}[command]
+        assert main([command, *argv, "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "slat: error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
 
 
 def _readme_walkthrough() -> list:

@@ -3,8 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from slat.evaluation import (ConstantMeanBaseline, EvalReport,
-                             LinearWindowBaseline, evaluate, model_predictor,
+from slat.evaluation import (EvalReport, constant_baseline, evaluate,
+                             linear_baseline, model_predictor,
                              rmse, write_rtf_csv)
 from slat.model import SlatConfig, init_params
 from slat.windowing import (FaultMode, LabelConfig, Trajectory, Windows,
@@ -189,20 +189,20 @@ class TestBaselines:
     def test_constant_predicts_training_mean(self):
         samples = Windows(np.zeros((3, 3, 2)), np.zeros((3, 4)),
                           np.array([2.0, 4.0, 6.0]), np.full(3, ""))
-        model = ConstantMeanBaseline().fit(samples)
-        preds = model.predict(np.zeros((5, 3, 2)), np.zeros((5, 4)))
+        predict = constant_baseline(samples, rul_cap=125.0)
+        preds = predict(np.zeros((5, 3, 2)), np.zeros((5, 4)))
         np.testing.assert_allclose(preds, 4.0)
 
     def test_linear_recovers_exact_linear_rule(self):
         # one rule, 350 draws: fit on the first 300, check the held-out 50
         pool = linear_samples(350, seed=0)
-        model = LinearWindowBaseline().fit(pool[:300])
-        assert not model.used_ridge
+        predict, used_ridge = linear_baseline(pool[:300], rul_cap=125.0)
+        assert not used_ridge
         check = pool[300:]
         values = check.values
         desc = check.descriptors
         targets = check.targets
-        preds = model.predict(values, desc)
+        preds = predict(values, desc)
         np.testing.assert_allclose(preds, targets, atol=1e-6)
 
     def test_ridge_fallback_on_singular_features(self):
@@ -210,20 +210,27 @@ class TestBaselines:
         # the constant-zero value block
         samples = Windows(np.zeros((10, 2, 1)), np.tile([1.0, 0.0], (10, 1)),
                           np.ones(10), np.full(10, ""))
-        model = LinearWindowBaseline().fit(samples)
-        assert model.used_ridge
-        preds = model.predict(np.zeros((3, 2, 1)),
-                              np.tile([1.0, 0.0], (3, 1)))
+        predict, used_ridge = linear_baseline(samples, rul_cap=125.0)
+        assert used_ridge
+        preds = predict(np.zeros((3, 2, 1)), np.tile([1.0, 0.0], (3, 1)))
         assert np.all(np.isfinite(preds))
 
     def test_predictions_clamped(self):
         samples = linear_samples(100, seed=2, scale=4.0)
-        model = LinearWindowBaseline(rul_cap=20.0).fit(samples)
+        predict, _ = linear_baseline(samples, rul_cap=20.0)
         rng = np.random.default_rng(3)
-        preds = model.predict(rng.normal(0, 50, size=(40, 4, 2)),
-                              rng.normal(0, 50, size=(40, 4)))
+        preds = predict(rng.normal(0, 50, size=(40, 4, 2)),
+                        rng.normal(0, 50, size=(40, 4)))
         assert np.all(preds >= 0.0) and np.all(preds <= 20.0)
+        # the constant baseline clamps a training mean above the cap to it
+        high = Windows(np.zeros((2, 4, 2)), np.zeros((2, 4)), np.array([30.0, 50.0]),
+                       np.full(2, ""))
+        np.testing.assert_array_equal(constant_baseline(high, rul_cap=20.0)(
+            np.zeros((3, 4, 2)), np.zeros((3, 4))), 20.0)
 
-    def test_unfitted_predict_rejected(self):
-        with pytest.raises(RuntimeError):
-            LinearWindowBaseline().predict(np.zeros((1, 2, 2)), np.zeros((1, 4)))
+    @pytest.mark.parametrize("fit", [constant_baseline, linear_baseline],
+                             ids=["constant", "linear"])
+    def test_fit_on_no_windows_rejected(self, fit):
+        empty = Windows(np.zeros((0, 2, 2)), np.zeros((0, 4)), np.zeros(0), np.full(0, ""))
+        with pytest.raises(ValueError, match="no samples to fit"):
+            fit(empty, rul_cap=125.0)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_band_global_grid, numeric_gradient, retained_bytes
+from oracles import (naive_band_global_grid, numeric_gradient, retained_bytes,
+                     softmax_reference)
 from slat import layers
+from slat.attention import masked_softmax
 from slat.gradcheck import TINY_CONFIG, check_model_gradients, relative_error
 from slat.model import (SlatConfig, _embed_sensor, _embed_time, backward,
                         forward, init_params, masks_for, param_count,
@@ -122,17 +124,26 @@ class TestEmbeddings:
 
 class TestMasks:
     def test_masks_match_config(self):
-        t_mask, s_mask = masks_for(TINY)
+        t_mask, s_mask, dec_mask = masks_for(TINY)
         assert t_mask.shape == (TINY.n_stw, TINY.n_stw)
         assert s_mask.shape == (TINY.n_channels, TINY.n_channels)
         want = naive_band_global_grid(TINY.n_stw, TINY.band_width, range(TINY.n_global))
         np.testing.assert_array_equal(t_mask, want)
+        assert dec_mask.shape == (1, TINY.n_stw + TINY.n_channels) and dec_mask.all()
+        assert not any(m.flags.writeable for m in (t_mask, s_mask, dec_mask))
+
+    def test_decoder_softmax_equals_maskless_form(self):
+        # the decoder's all-True mask must not change a bit of its softmax
+        dec_mask = masks_for(SlatConfig())[2]
+        logits = np.random.default_rng(8).normal(0, 4, size=(32, 8, *dec_mask.shape))
+        assert np.array_equal(masked_softmax(logits, dec_mask),
+                              softmax_reference(logits, None))
 
     def test_globals_clamped_to_short_sequences(self):
         cfg = SlatConfig(n_stw=6, n_channels=2, d_model=8, heads=2,
                          time_blocks=1, sensor_blocks=1, decoder_blocks=1,
                          n_global=5, rank=2)
-        t_mask, s_mask = masks_for(cfg)
+        _, s_mask, _ = masks_for(cfg)
         assert s_mask.shape == (2, 2)
         assert int(s_mask.sum()) == 4
 

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import slat.training
 from oracles import adam_reference, retained_bytes
 from slat.model import SlatConfig, backward, forward, init_params
-from slat.training import (AdamState, TrainConfig, TrainingDiverged,
-                           adam_step, clip_gradients, mse_loss,
+from slat.training import (BETA1, BETA2, EPS, AdamState, TrainConfig,
+                           TrainingDiverged, adam_step, clip_gradients, mse_loss,
                            split_by_trajectory, train, write_history)
 from slat.windowing import Windows
 
@@ -45,10 +46,14 @@ class TestLossAndClip:
 
     def test_clip_rescales_to_max_norm(self):
         grads = {"a": np.array([3.0, 0.0]), "b": np.array([4.0])}
+        before = dict(grads)
         pre = clip_gradients(grads, 1.0)
         assert pre == pytest.approx(5.0)
         total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         assert total == pytest.approx(1.0)
+        # clipping rebinds each key; the arrays a caller kept are not written
+        np.testing.assert_array_equal(before["a"], [3.0, 0.0])
+        np.testing.assert_array_equal(before["b"], [4.0])
 
     def test_clip_leaves_small_gradients_alone(self):
         grads = {"a": np.array([0.3])}
@@ -92,7 +97,7 @@ class TestAdam:
             for k, g in grads.items():
                 assert np.array_equal(g, kept[k])  # gradients are never written
                 want[k] = adam_reference(*want[k][:1], g, *want[k][1:], t, cfg.learning_rate,
-                                         cfg.beta1, cfg.beta2, cfg.eps)
+                                         BETA1, BETA2, EPS)
         for k in params:
             assert np.array_equal(params[k], want[k][0])
             assert np.array_equal(state.m[k], want[k][1])
@@ -136,15 +141,18 @@ class TestTrainLoop:
         tcfg = TrainConfig(epochs=3, batch_size=4, val_fraction=0.0, seed=4)
         r1 = train(samples, TINY, tcfg)
         r2 = train(samples, TINY, tcfg)
-        assert all(np.array_equal(r1.params[k], r2.params[k]) for k in r1.params)
+        assert all(np.array_equal(r1.best_params[k], r2.best_params[k])
+                   for k in r1.best_params)
         assert [h.train_loss for h in r1.history] == [h.train_loss for h in r2.history]
+        # without validation every epoch is the best so far
+        assert r1.best_epoch == 2 and np.isnan(r1.best_val_rmse)
 
     def test_seed_changes_outcome(self):
         samples = make_samples(12, seed=3)
         r1 = train(samples, TINY, TrainConfig(epochs=2, val_fraction=0.0, seed=1))
         r2 = train(samples, TINY, TrainConfig(epochs=2, val_fraction=0.0, seed=2))
-        assert any(not np.array_equal(r1.params[k], r2.params[k])
-                   for k in r1.params)
+        assert any(not np.array_equal(r1.best_params[k], r2.best_params[k])
+                   for k in r1.best_params)
 
     def test_best_checkpoint_tracked_on_validation(self):
         samples = make_samples(30, seed=5, n_trajs=5)
@@ -157,15 +165,17 @@ class TestTrainLoop:
         assert res.best_epoch == int(np.argmin(rmses))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    def test_divergence_aborts_with_location(self):
+    def test_divergence_aborts_with_location(self, monkeypatch):
         samples = make_samples(8, seed=7)
-        # poisoned head weight makes the very first loss non-finite
-        bad_init = init_params(TINY, np.random.default_rng(0))
-        bad_init["head.w"] = bad_init["head.w"] + np.inf
+
+        def poisoned(cfg, rng):  # a head weight that makes the very first loss non-finite
+            params = init_params(cfg, rng)
+            params["head.w"] = params["head.w"] + np.inf
+            return params
+        monkeypatch.setattr(slat.training, "init_params", poisoned)
         with pytest.raises(TrainingDiverged) as err:
             train(samples, TINY,
-                  TrainConfig(epochs=3, batch_size=4, val_fraction=0.0, seed=0),
-                  init=bad_init)
+                  TrainConfig(epochs=3, batch_size=4, val_fraction=0.0, seed=0))
         assert err.value.epoch == 0
         assert err.value.batch == 0
 
