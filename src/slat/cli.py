@@ -137,7 +137,7 @@ def _cmd_train(args) -> int:
     write_history(out / "history.csv", result.history)
     print(f"trained on {len(windows)} windows "
           f"({len(corpus.ids('train'))} trajectories)")
-    print(f"final train loss: {result.final_train_loss:.4f}")
+    print(f"final train loss: {result.history[-1].train_loss:.4f}")
     if result.val_ids:
         print(f"best val rmse: {result.best_val_rmse:.4f} "
               f"(epoch {result.best_epoch}, held out: {', '.join(result.val_ids)})")
@@ -216,6 +216,8 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not 0 < args.threshold < np.inf:
+        raise ValueError(f"--threshold must be positive and finite, got {args.threshold}")
     result = check_model_gradients(seed=args.seed)
     for name, err in result.worst(5):
         print(f"{name:<40s} {err:.3e}")

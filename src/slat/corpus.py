@@ -35,7 +35,7 @@ _RECORD_TYPES = {"id": str, "mode": str, "file": str, "failure_index": int, "spl
 def _write_trajectory_csv(path: Path, traj: Trajectory, label_cfg: LabelConfig):
     """One pass and one write; the bytes equal csv.writer's (no field needs quoting)."""
     rul = label_rul(traj, label_cfg)
-    lines = [",".join(["t", *(f"ch_{i}" for i in range(traj.n_channels)), "rul"])]
+    lines = [",".join(["t", *(f"ch_{i}" for i in range(traj.channels.shape[1])), "rul"])]
     lines += [f"{t},{','.join(map(repr, row))},{r!r}"
               for t, (row, r) in enumerate(zip(traj.channels.tolist(), rul.tolist()))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

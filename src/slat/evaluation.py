@@ -122,7 +122,7 @@ def constant_baseline(windows: Windows, rul_cap: float) -> Callable:
     value = np.clip(float(np.mean(windows.targets)), 0.0, rul_cap)
 
     def predict(values, descriptors):
-        return np.full(np.asarray(values).shape[0], value)
+        return np.full(len(values), value)
     return predict
 
 

@@ -378,7 +378,7 @@ def backward(params, cfg: SlatConfig, cache, gpreds) -> dict[str, np.ndarray]:
 
 
 def stack_samples(windows):
-    """The (values, descriptors, targets) arrays of a ``windowing.Windows``."""
+    """(values, descriptors, targets) of a ``windowing.Windows``; values is a ``WindowStack``."""
     return windows.values, windows.descriptors, windows.targets
 
 

@@ -149,10 +149,6 @@ class TrainResult:
     best_val_rmse: float
     val_ids: list = field(default_factory=list)
 
-    @property
-    def final_train_loss(self) -> float:
-        return self.history[-1].train_loss if self.history else float("nan")
-
 
 def _copy_params(params: dict) -> dict:
     return {k: v.copy() for k, v in params.items()}

@@ -7,9 +7,9 @@ with training statistics, enriched with per-channel mean/slope descriptors
 (computed on raw values, then z-scored with their own statistics), and
 labelled with the capped RUL at the window's last step. One strided view per
 trajectory cuts the windows (the k-th starts at step k * stride); it is the
-only window enumeration. ``build_dataset`` stacks its windows into
-:class:`Windows`, which every consumer reads, and ``fit_norm_stats`` takes
-the descriptor statistics over the same views.
+only window enumeration. ``build_dataset`` returns :class:`Windows`, which
+every consumer reads, with each normalized row held once; ``fit_norm_stats``
+takes the descriptor statistics over the same views.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class Trajectory:
         return self.channels.shape[0]
 
     @property
-    def n_channels(self) -> int:
-        return self.channels.shape[1]
-
-    @property
     def failure_index(self) -> int:
         return self.n_steps - 1
 
@@ -71,12 +67,39 @@ class LabelConfig:
             raise ValueError(f"rul_cap must be positive and finite, got {self.rul_cap}")
 
 
+class WindowStack:
+    """Read-only (W, n_stw, S) windows over one (R, S) row buffer: window i is
+    ``rows[starts[i] : starts[i] + n_stw]``. A first-axis index selects windows
+    without copying rows; ``np.asarray`` gathers them, and so does a tuple index."""
+
+    def __init__(self, rows: np.ndarray, starts: np.ndarray, n_stw: int):
+        self.rows, self.starts, self.n_stw = rows.view(), starts, n_stw
+        self.rows.flags.writeable = False
+        self.shape = starts.shape + (n_stw, rows.shape[1])
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, index):
+        if isinstance(index, tuple):
+            return np.asarray(self)[index]
+        starts = self.starts[index]
+        if starts.ndim == 0:  # one window: a (n_stw, S) view of the rows
+            return self.rows[starts:starts + self.n_stw]
+        return WindowStack(self.rows, starts, self.n_stw)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a WindowStack is gathered from its rows, so it cannot skip the copy")
+        return np.asarray(self.rows.take(self.starts[..., None] + np.arange(self.n_stw), 0), dtype)
+
+
 @dataclass(frozen=True)
 class Windows:
-    """Stacked windows; row i of every field belongs to window i. Indexing
+    """Windows in order; row i of every field belongs to window i. Indexing
     applies the same numpy index to every field."""
 
-    values: np.ndarray       # (W, n_stw, S), normalized
+    values: WindowStack      # (W, n_stw, S), normalized
     descriptors: np.ndarray  # (W, 2S): per-channel means then slopes, normalized
     targets: np.ndarray      # (W,): capped RUL at each window's last step
     traj_ids: np.ndarray     # (W,): id of each window's trajectory
@@ -187,10 +210,13 @@ def build_dataset(
     if not trajs:
         raise ValueError("no trajectories to window")
     views = [_window_view(t, n_stw, stride) for t in trajs]
-    values = np.concatenate(views)  # the one (W, n_stw, S) array, raw until normalized
-    descriptors = stats.normalize_descriptors(compute_descriptors(values))
-    values -= stats.channel_mean
-    values /= stats.channel_std
+    descriptors = stats.normalize_descriptors(
+        np.concatenate([compute_descriptors(v) for v in views]))
+    rows = np.concatenate([t.channels for t in trajs])
+    rows -= stats.channel_mean
+    rows /= stats.channel_std
+    first_rows = np.cumsum([0] + [t.n_steps for t in trajs[:-1]])
+    starts = np.concatenate([r + np.arange(len(v)) * stride for r, v in zip(first_rows, views)])
     targets = np.concatenate([label_rul(t, cfg)[n_stw - 1::stride] for t in trajs])
     traj_ids = np.repeat([t.traj_id for t in trajs], [len(v) for v in views])
-    return Windows(values, descriptors, targets, traj_ids)
+    return Windows(WindowStack(rows, starts, n_stw), descriptors, targets, traj_ids)

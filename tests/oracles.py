@@ -11,6 +11,7 @@ import numpy as np
 from scipy.special import erf
 
 from slat import simulator as sim
+from slat.windowing import Windows, WindowStack
 
 
 def naive_window_starts(n_steps, n_stw, stride):
@@ -20,6 +21,28 @@ def naive_window_starts(n_steps, n_stw, stride):
         starts.append(s)
         s += stride
     return starts
+
+
+def materialized_window_values(trajs, n_stw, stride, stats):
+    """The (W, n_stw, S) stack with every window's rows copied out: the raw
+    windows of every trajectory in order, concatenated, then ``-=`` the
+    channel mean and ``/=`` the channel std in place."""
+    values = np.concatenate([[t.channels[s:s + n_stw]
+                              for s in naive_window_starts(t.n_steps, n_stw, stride)]
+                             for t in trajs])
+    values -= stats.channel_mean
+    values /= stats.channel_std
+    return values
+
+
+def synthetic_windows(values, descriptors, targets, traj_ids):
+    """A ``Windows`` over given (W, n, S) window values, for tests that make
+    up their windows: the windows' rows are laid end to end in the row
+    buffer, so window i starts at row i * n."""
+    values = np.asarray(values, dtype=np.float64)
+    w, n, s = values.shape
+    return Windows(WindowStack(values.reshape(-1, s), np.arange(w) * n, n),
+                   descriptors, targets, traj_ids)
 
 
 def naive_mean_slope(window):

@@ -468,6 +468,17 @@ class TestGradcheck:
         assert main(["gradcheck", "--threshold", "1e-30"]) == 2
         assert "gradient check FAILED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["nan", "0", "-1", "inf"])
+    def test_bad_threshold_is_named(self, capsys, monkeypatch, threshold):
+        # refused before the check runs: nan, 0 and -1 would fail any
+        # gradients, and inf would pass any finite error
+        monkeypatch.setattr(slat.cli, "check_model_gradients",
+                            lambda **kw: pytest.fail("the check ran"))
+        assert main(["gradcheck", "--threshold", threshold]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"slat: error: --threshold must be positive and finite, "
+                       f"got {float(threshold)}\n")
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self):

@@ -3,12 +3,13 @@ import csv
 import numpy as np
 import pytest
 
+from oracles import synthetic_windows
 from slat.evaluation import (EvalReport, constant_baseline, evaluate,
                              linear_baseline, model_predictor,
                              rmse, write_rtf_csv)
 from slat.model import SlatConfig, init_params
-from slat.windowing import (FaultMode, LabelConfig, Trajectory, Windows,
-                            fit_norm_stats, label_rul)
+from slat.windowing import (FaultMode, LabelConfig, Trajectory, fit_norm_stats,
+                            label_rul)
 
 
 def make_traj(n_steps, mode, seed, n_ch=3):
@@ -182,13 +183,13 @@ def linear_samples(n, seed, scale=1.0):
         target = float(np.sum(values * w_v) + desc @ w_d + 60.0)
         out.append((values, desc, target))
     values, desc, targets = (np.array(col) for col in zip(*out))
-    return Windows(values, desc, targets, np.full(n, "t0"))
+    return synthetic_windows(values, desc, targets, np.full(n, "t0"))
 
 
 class TestBaselines:
     def test_constant_predicts_training_mean(self):
-        samples = Windows(np.zeros((3, 3, 2)), np.zeros((3, 4)),
-                          np.array([2.0, 4.0, 6.0]), np.full(3, ""))
+        samples = synthetic_windows(np.zeros((3, 3, 2)), np.zeros((3, 4)),
+                                    np.array([2.0, 4.0, 6.0]), np.full(3, ""))
         predict = constant_baseline(samples, rul_cap=125.0)
         preds = predict(np.zeros((5, 3, 2)), np.zeros((5, 4)))
         np.testing.assert_allclose(preds, 4.0)
@@ -208,8 +209,8 @@ class TestBaselines:
     def test_ridge_fallback_on_singular_features(self):
         # duplicate every sample so columns of the gram matrix collide with
         # the constant-zero value block
-        samples = Windows(np.zeros((10, 2, 1)), np.tile([1.0, 0.0], (10, 1)),
-                          np.ones(10), np.full(10, ""))
+        samples = synthetic_windows(np.zeros((10, 2, 1)), np.tile([1.0, 0.0], (10, 1)),
+                                    np.ones(10), np.full(10, ""))
         predict, used_ridge = linear_baseline(samples, rul_cap=125.0)
         assert used_ridge
         preds = predict(np.zeros((3, 2, 1)), np.tile([1.0, 0.0], (3, 1)))
@@ -223,14 +224,15 @@ class TestBaselines:
                         rng.normal(0, 50, size=(40, 4)))
         assert np.all(preds >= 0.0) and np.all(preds <= 20.0)
         # the constant baseline clamps a training mean above the cap to it
-        high = Windows(np.zeros((2, 4, 2)), np.zeros((2, 4)), np.array([30.0, 50.0]),
-                       np.full(2, ""))
+        high = synthetic_windows(np.zeros((2, 4, 2)), np.zeros((2, 4)),
+                                 np.array([30.0, 50.0]), np.full(2, ""))
         np.testing.assert_array_equal(constant_baseline(high, rul_cap=20.0)(
             np.zeros((3, 4, 2)), np.zeros((3, 4))), 20.0)
 
     @pytest.mark.parametrize("fit", [constant_baseline, linear_baseline],
                              ids=["constant", "linear"])
     def test_fit_on_no_windows_rejected(self, fit):
-        empty = Windows(np.zeros((0, 2, 2)), np.zeros((0, 4)), np.zeros(0), np.full(0, ""))
+        empty = synthetic_windows(np.zeros((0, 2, 2)), np.zeros((0, 4)), np.zeros(0),
+                                  np.full(0, ""))
         with pytest.raises(ValueError, match="no samples to fit"):
             fit(empty, rul_cap=125.0)

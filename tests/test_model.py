@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (naive_band_global_grid, numeric_gradient, retained_bytes,
-                     softmax_reference)
+                     softmax_reference, synthetic_windows)
 from slat import layers
 from slat.attention import masked_softmax
 from slat.gradcheck import TINY_CONFIG, check_model_gradients, relative_error
 from slat.model import (SlatConfig, _embed_sensor, _embed_time, backward,
                         forward, init_params, masks_for, param_count,
                         param_shapes, predict_rul, stack_samples)
-from slat.windowing import Windows
 
 TINY = SlatConfig(n_stw=6, n_channels=3, d_model=8, time_blocks=1,
                   sensor_blocks=1, decoder_blocks=1, heads=2, ffn_mult=2,
@@ -443,7 +442,7 @@ class TestPredict:
     def test_stack_samples_layout(self):
         rng = np.random.default_rng(14)
         values, desc = make_batch(TINY, rng, b=2)
-        samples = Windows(values, desc, np.arange(2.0), np.full(2, ""))
+        samples = synthetic_windows(values, desc, np.arange(2.0), np.full(2, ""))
         sv, sd, st = stack_samples(samples)
         np.testing.assert_array_equal(sv, values)
         np.testing.assert_array_equal(sd, desc)

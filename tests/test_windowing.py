@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_mean_slope, naive_rul, naive_window_starts
+from oracles import (materialized_window_values, naive_mean_slope, naive_rul,
+                     naive_window_starts)
 from slat.windowing import (FaultMode, LabelConfig, NormStats, Trajectory,
                             build_dataset, compute_descriptors, fit_norm_stats,
                             label_rul)
@@ -167,7 +170,7 @@ class TestBuildDataset:
         traj = make_traj(rng.normal(50, 9, size=(60, 4)))
         stats = fit_norm_stats([traj], 10, 1)
         samples = build_dataset([traj], 10, 1, LabelConfig(), stats)
-        all_vals = samples.values
+        all_vals = np.asarray(samples.values)
         assert abs(float(all_vals.mean())) < 0.5
         raw = samples[0].values * stats.channel_std + stats.channel_mean
         np.testing.assert_allclose(raw, traj.channels[:10], atol=1e-9)
@@ -227,6 +230,72 @@ class TestBuildDataset:
             build_dataset([traj], 8, 1, LabelConfig(), stats)
         with pytest.raises(ValueError, match="5 steps < window length 8"):
             fit_norm_stats([traj], 8, 1)
+
+
+class TestWindowStack:
+    """``build_dataset``'s values equal, byte for byte and under every kind of
+    index, the stack that copies each window's rows out."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(21)
+        self.trajs = [make_traj(rng.normal(rng.normal(0, 50), 10, size=(6 + k, 3)),
+                                traj_id=f"t{i}") for i, k in enumerate([0, 7, 23])]
+        self.stats = NormStats(rng.normal(0, 50, 3), rng.uniform(0.5, 20, 3),
+                               np.zeros(6), np.ones(6))
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_equals_materialized_stack(self, stride):
+        windows = build_dataset(self.trajs, 6, stride, LabelConfig(), self.stats)
+        want = materialized_window_values(self.trajs, 6, stride, self.stats)
+        got = np.asarray(windows.values)
+        assert windows.values.shape == got.shape == want.shape
+        assert len(windows.values) == len(want)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        assert np.array_equal(np.asarray(windows.values, dtype=np.float32), want.astype(np.float32))
+        with pytest.raises(ValueError, match="cannot skip the copy"):
+            np.asarray(windows.values, copy=False)
+        first_axis = [0, 4, -1, slice(2, 9), slice(None, None, 4), slice(3, 3),
+                      np.array([7, 0, 3, 3]), [1, 2], np.arange(len(want)) % 3 == 0]
+        tuples = [(slice(None), 0, 0), (slice(None), slice(None, 1), 0),
+                  (slice(1, 5), -1), (np.array([2, 0]), slice(None), 1), (3, 2)]
+        for index in first_axis + tuples:
+            part = np.asarray(windows.values[index])
+            assert part.shape == want[index].shape, index
+            assert part.tobytes() == want[index].tobytes(), index
+        for index in first_axis:
+            sub = windows[index]
+            assert np.asarray(sub.values).tobytes() == want[index].tobytes(), index
+            assert np.array_equal(sub.descriptors, windows.descriptors[index])
+            assert np.array_equal(sub.targets, windows.targets[index])
+            assert np.array_equal(sub.traj_ids, windows.traj_ids[index])
+
+    def test_rows_are_read_only(self):
+        windows = build_dataset(self.trajs, 6, 2, LabelConfig(), self.stats)
+        assert not windows.values.rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            windows.values.rows[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            windows.values[1][0, 0] = 0.0  # one window is a view of the rows
+        with pytest.raises(ValueError, match="read-only"):
+            windows[1:3].values.rows[0, 0] = 0.0
+
+    def test_build_peaks_below_a_quarter_of_the_stack(self):
+        # each normalized row is held once, not n_stw times; at the pipeline's
+        # window length the descriptors (2S values a window) and the rows
+        # (about S) are what remains of the stack's n_stw * S values a window
+        rng = np.random.default_rng(22)
+        n_stw, n_ch = 30, 9
+        trajs = [make_traj(rng.normal(size=(n_stw + int(k), n_ch)), traj_id=f"t{i}")
+                 for i, k in enumerate(rng.integers(50, 400, 20))]
+        stats = NormStats(np.zeros(n_ch), np.ones(n_ch), np.zeros(2 * n_ch), np.ones(2 * n_ch))
+        tracemalloc.start()
+        try:
+            windows = build_dataset(trajs, n_stw, 1, LabelConfig(), stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = np.asarray(windows.values).nbytes
+        assert peak < stack / 4, (peak / 1e6, stack / 1e6)
 
 
 class TestTrajectory:
