@@ -37,19 +37,13 @@ def linear_backward(gy: np.ndarray, cache):
     return gx, gw, g2.sum(axis=0)
 
 
-def normalize(x: np.ndarray):
-    """Layer norm's (xhat, inv) over the last axis, xhat fresh; means as
-    ``sum / d``, the ops of ``ndarray.mean``."""
-    d = x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.square(xc).sum(axis=-1, keepdims=True) / d + LN_EPS)
-    xc *= inv  # xc is now xhat
-    return xc, inv
-
-
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    """:func:`normalize`, then gain and bias into a fresh y (the cache keeps xhat)."""
-    xhat, inv = normalize(x)
+    """Layer norm over the last axis into a fresh y; the cache keeps xhat,
+    inv and gain. Means are ``sum / d``, the ops of ``ndarray.mean``."""
+    d = x.shape[-1]
+    xhat = x - x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=-1, keepdims=True) / d + LN_EPS)
+    xhat *= inv
     y = xhat * gain
     y += bias
     return y, (xhat, inv, gain)

@@ -17,8 +17,8 @@ bool dropout masks and the FFN's GELU output and slope; backward rebuilds the
 LN2 output from its xhat. Backward consumes the cache: gradients overwrite
 the activations they replace, each stack's block caches are freed as that
 stack's backward ends, and a consumed cache is refused. An inference
-forward runs its own block loop, the same operations without dropout or
-caches, so its peak memory is one block's activations.
+forward runs the same block loop without dropout and keeps no cache past its
+block, so its peak memory is one block's activations.
 """
 
 from __future__ import annotations
@@ -204,21 +204,25 @@ def _embed_sensor(params, cfg: SlatConfig, values, descriptors):
 
 # -- transformer blocks -------------------------------------------------------
 
-def _block_forward(x, mem, params, cfg: SlatConfig, prefix, mask, rng):
-    """Pre-norm residual block with its backward cache. Self-attention when
-    mem is None, else the normalized stream cross-attends to mem."""
+def _block_forward(x, mem, params, cfg: SlatConfig, prefix, mask, rng, train):
+    """Pre-norm residual block; self-attention when mem is None, else the
+    normalized stream cross-attends to mem. The cache is None unless ``train``:
+    inference runs dropout at rate 0 (no draws) and GELU in place without its
+    slope, so none of the block's activations outlive the block."""
+    rate = cfg.dropout if train else 0.0
     h1, ln1c = layers.layer_norm(x, params[f"{prefix}ln1.g"], params[f"{prefix}ln1.b"])
     kv = h1 if mem is None else mem
     attn_out, mhac = mha_forward(h1, kv, _attn_weights(params, prefix), mask)
-    x1, drop1 = layers.dropout(attn_out, cfg.dropout, rng)
-    x1 += x  # dropout's output is fresh and no cache holds it
+    x1, drop1 = layers.dropout(attn_out, rate, rng)
+    x1 += x  # dropout's output is fresh (or attn_out itself) and no cache holds it
     h2, ln2c = layers.layer_norm(x1, params[f"{prefix}ln2.g"], params[f"{prefix}ln2.b"])
     f1, _ = layers.linear(h2, params[f"{prefix}ffn.w1"], params[f"{prefix}ffn.b1"])
-    g1, slope = layers.gelu(f1)
+    g1, slope = layers.gelu(f1) if train else (np.multiply(f1, ndtr(f1), out=f1), None)
     f2, lin2c = layers.linear(g1, params[f"{prefix}ffn.w2"], params[f"{prefix}ffn.b2"])
-    x2, drop2 = layers.dropout(f2, cfg.dropout, rng)
+    x2, drop2 = layers.dropout(f2, rate, rng)
     x2 += x1
-    return x2, (ln1c, mhac, drop1, ln2c, slope, lin2c, drop2, mem is not None)
+    cache = (ln1c, mhac, drop1, ln2c, slope, lin2c, drop2, mem is not None)
+    return x2, cache if train else None
 
 
 def _block_backward(gy, cache, params, p, grads):
@@ -245,39 +249,14 @@ def _block_backward(gy, cache, params, p, grads):
     return np.add(g_x, g_x1, out=g_x), g_mem
 
 
-def _stack_forward(x, mem, params, cfg, name, n_blocks, mask, rng):
-    """n_blocks blocks then a final layer norm, with the stack's cache."""
+def _stack_forward(x, mem, params, cfg, name, n_blocks, mask, rng, train):
+    """n_blocks blocks then a final layer norm; the stack's cache if ``train``."""
     caches = []
     for i in range(n_blocks):
-        x, c = _block_forward(x, mem, params, cfg, f"{name}.{i}.", mask, rng)
+        x, c = _block_forward(x, mem, params, cfg, f"{name}.{i}.", mask, rng, train)
         caches.append(c)
     x, lnc = layers.layer_norm(x, params[f"{name}.final_ln.g"], params[f"{name}.final_ln.b"])
-    return x, (caches, lnc)
-
-
-def _norm_inplace(x, params, key):
-    """Layer norm ``key`` of x at inference: the affine applied on xhat."""
-    y, _ = layers.normalize(x)
-    y *= params[f"{key}.g"]
-    y += params[f"{key}.b"]
-    return y
-
-
-def _infer_stack(x, mem, params, cfg, name, n_blocks, mask):
-    """:func:`_stack_forward`'s operations in order, without dropout or caches;
-    the layer-norm affine, GELU product and residual adds work in place. It
-    takes ``_stack_forward``'s arguments, so ``forward`` calls either one."""
-    for i in range(n_blocks):
-        p = f"{name}.{i}."
-        h1 = _norm_inplace(x, params, f"{p}ln1")
-        x1, _ = mha_forward(h1, h1 if mem is None else mem, _attn_weights(params, p), mask)
-        x1 += x
-        h2 = _norm_inplace(x1, params, f"{p}ln2")
-        f1, _ = layers.linear(h2, params[f"{p}ffn.w1"], params[f"{p}ffn.b1"])
-        f1 *= ndtr(f1)  # exact GELU, x * Phi(x)
-        x, _ = layers.linear(f1, params[f"{p}ffn.w2"], params[f"{p}ffn.b2"])
-        x += x1
-    return _norm_inplace(x, params, f"{name}.final_ln"), None
+    return x, (caches, lnc) if train else None
 
 
 def _stack_backward(gy, params, name, cache, grads):
@@ -328,16 +307,16 @@ def forward(params, cfg: SlatConfig, values, descriptors, *, train=False, rng=No
         raise ValueError("training forward with dropout needs an rng")
 
     time_mask, sensor_mask, dec_mask = masks_for(cfg)
-    stack = functools.partial(_stack_forward, rng=rng) if train else _infer_stack
     t_tok, t_emb_cache = _embed_time(params, cfg, values, descriptors)
     s_tok, s_emb_cache = _embed_sensor(params, cfg, values, descriptors)
-    t_out, t_enc_cache = stack(t_tok, None, params, cfg, "time_enc", cfg.time_blocks, time_mask)
-    s_out, s_enc_cache = stack(s_tok, None, params, cfg, "sensor_enc", cfg.sensor_blocks,
-                               sensor_mask)
+    t_out, t_enc_cache = _stack_forward(t_tok, None, params, cfg, "time_enc", cfg.time_blocks,
+                                        time_mask, rng, train)
+    s_out, s_enc_cache = _stack_forward(s_tok, None, params, cfg, "sensor_enc",
+                                        cfg.sensor_blocks, sensor_mask, rng, train)
     q = np.broadcast_to(params["decoder.query"], (values.shape[0], 1, cfg.d_model))
     # the decoder attends to both encoders' tokens, time tokens first
-    q, dec_cache = stack(q, np.concatenate([t_out, s_out], axis=-2), params, cfg,
-                         "decoder", cfg.decoder_blocks, dec_mask)
+    q, dec_cache = _stack_forward(q, np.concatenate([t_out, s_out], axis=-2), params, cfg,
+                                  "decoder", cfg.decoder_blocks, dec_mask, rng, train)
     out, head_cache = layers.linear(q, params["head.w"], params["head.b"])
     cache = (t_emb_cache, s_emb_cache, t_enc_cache, s_enc_cache, dec_cache, head_cache)
     return out[:, 0, 0], cache if train else None

@@ -210,8 +210,9 @@ def build_dataset(
     if not trajs:
         raise ValueError("no trajectories to window")
     views = [_window_view(t, n_stw, stride) for t in trajs]
-    descriptors = stats.normalize_descriptors(
-        np.concatenate([compute_descriptors(v) for v in views]))
+    descriptors = np.concatenate([compute_descriptors(v) for v in views])
+    descriptors -= stats.descriptor_mean
+    descriptors /= stats.descriptor_std
     rows = np.concatenate([t.channels for t in trajs])
     rows -= stats.channel_mean
     rows /= stats.channel_std

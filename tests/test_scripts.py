@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -52,3 +53,10 @@ def test_src_budget_runs_and_counts(capsys):
         "def f(x, y=1, *, z=2, w):\n"
         "    p.add_argument('--q')\n")
     assert module.settable_values(sample) == 5  # a, b, y, z, --q
+
+
+def test_fingerprint_prints_one_sha256(capsys):
+    """``main()`` prints one 64-digit hex SHA-256 and nothing else."""
+    _load("fingerprint").main()
+    out = capsys.readouterr().out
+    assert re.fullmatch(r"[0-9a-f]{64}\n", out), out
