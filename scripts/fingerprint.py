@@ -2,7 +2,8 @@
 """One SHA-256 over what the model computes, to show a refactor changed no bit.
 
 Windows are cut by ``build_dataset`` from one simulated trajectory per fault
-mode. For the default ``SlatConfig``, ``rank=None`` and ``n_global=0`` the
+mode. For the default ``SlatConfig``, ``rank=None``, ``n_global=0`` and
+``band_width=0, n_global=0`` (each encoder mask row allows one entry) the
 hash covers those windows, ``predict_rul`` at chunks of 1, 7 and 32, and six
 clipped Adam steps at batch 32: each step's predictions, pre-clip norm and
 gradients (values and key order), then the final parameters and the
@@ -23,7 +24,7 @@ from slat import model, training
 from slat.simulator import FaultMode, SimConfig, simulate_trajectory, trajectory_seed
 from slat.windowing import LabelConfig, build_dataset, fit_norm_stats
 
-CONFIGS = ({}, {"rank": None}, {"n_global": 0})
+CONFIGS = ({}, {"rank": None}, {"n_global": 0}, {"band_width": 0, "n_global": 0})
 N_PREDICT = 70
 STEPS, BATCH = 6, 32
 

@@ -14,9 +14,13 @@ the stored factors are unchanged), so a projection is one GEMM, and
 
 Masking has one rule, the band+global semantics of Longformer: masked
 logits are left out of the softmax, so every masked weight is an exact zero.
+:func:`masked_softmax` exponentiates only the allowed logits, gathered through
+index arrays cached per mask, and scatters their weights into zeros.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -39,15 +43,30 @@ def build_mask(length: int, band_width: int, n_global: int) -> np.ndarray:
     return dense
 
 
+@functools.lru_cache(maxsize=16)
+def _mask_index(shape: tuple, raw: bytes):
+    """Flat positions of a mask's allowed entries, row starts among them, row of each."""
+    counts = np.count_nonzero(np.frombuffer(raw, dtype=bool).reshape(shape), axis=-1)
+    if not counts.all():
+        raise ValueError(f"mask row {int(np.argmin(counts))} allows no entry")
+    return (np.flatnonzero(np.frombuffer(raw, dtype=bool)), np.cumsum(counts) - counts,
+            np.repeat(np.arange(len(counts)), counts))
+
+
 def masked_softmax(logits: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Row softmax over the last axis, restricted to ``allowed`` entries:
-    disallowed logits are excluded entirely (weight exactly 0). An all-True
-    mask gives the plain softmax bit for bit."""
-    # one fresh array, shifted by the max of the surviving entries (every
-    # mask row allows at least one entry), exponentiated and normalized in place
-    out = np.where(allowed, logits, -np.inf)
-    out -= out.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
+    """Row softmax of ``logits`` (..., Lq, Lk) over the entries the (Lq, Lk) bool
+    mask ``allowed`` marks, bit for bit the textbook form with the others at -inf.
+    Only allowed logits (index arrays cached per mask) are shifted by their row
+    max, exponentiated, scattered into zeros (each disallowed weight is an exact 0)
+    and divided by the full-row sum. A row allowing nothing is a ValueError."""
+    flat, starts, rows = _mask_index(allowed.shape, allowed.tobytes())
+    if flat.size == allowed.size:
+        out = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    else:
+        kept = np.take(logits.reshape(-1, allowed.size), flat, axis=-1)
+        kept -= np.take(np.maximum.reduceat(kept, starts, axis=-1), rows, axis=-1)
+        out = np.zeros(logits.shape)
+        out.reshape(-1, allowed.size)[:, flat] = np.exp(kept, out=kept)
     out /= out.sum(axis=-1, keepdims=True)
     return out
 

@@ -207,12 +207,14 @@ def _embed_sensor(params, cfg: SlatConfig, values, descriptors):
 def _block_forward(x, mem, params, cfg: SlatConfig, prefix, mask, rng, train):
     """Pre-norm residual block; self-attention when mem is None, else the
     normalized stream cross-attends to mem. The cache is None unless ``train``:
-    inference runs dropout at rate 0 (no draws) and GELU in place without its
-    slope, so none of the block's activations outlive the block."""
+    inference drops the attention cache as soon as mha_forward returns, runs
+    dropout at rate 0 (no draws) and GELU in place without its slope, so none
+    of the block's activations outlive the block."""
     rate = cfg.dropout if train else 0.0
     h1, ln1c = layers.layer_norm(x, params[f"{prefix}ln1.g"], params[f"{prefix}ln1.b"])
     kv = h1 if mem is None else mem
     attn_out, mhac = mha_forward(h1, kv, _attn_weights(params, prefix), mask)
+    mhac = mhac if train else None
     x1, drop1 = layers.dropout(attn_out, rate, rng)
     x1 += x  # dropout's output is fresh (or attn_out itself) and no cache holds it
     h2, ln2c = layers.layer_norm(x1, params[f"{prefix}ln2.g"], params[f"{prefix}ln2.b"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import (dense_attention_reference, naive_band_global_grid,
                      numeric_gradient, single_head_weights, softmax_reference)
 from slat.attention import build_mask, masked_softmax, mha_backward, mha_forward
-from slat.model import SlatConfig, param_shapes
+from slat.model import SlatConfig, masks_for, param_shapes
 
 # positions in the mha_forward cache of the per-head q, k, v and the
 # attention weights, each (B, H, L, ...)
@@ -83,19 +83,43 @@ class TestMaskedSoftmax:
         np.testing.assert_allclose(w.sum(), 1.0, atol=1e-12)
 
     @given(lead=st.lists(st.integers(1, 3), max_size=2), length=st.integers(1, 12),
-           seed=st.integers(0, 2**32 - 1), masked=st.booleans())
-    @settings(max_examples=60)
-    def test_bit_identical_to_textbook_form(self, lead, length, seed, masked):
+           band=st.integers(0, 12), n_global=st.integers(0, 12),
+           seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["full", "random", "build_mask", "row"]))
+    @settings(max_examples=100)
+    def test_bit_identical_to_textbook_form(self, lead, length, band, n_global, seed, kind):
+        # an empty lead gives 2-D logits; "row" is a read-only (1, L) mask
+        # broadcast from one row, like the decoder's
         rng = np.random.default_rng(seed)
-        logits = rng.normal(0, 4, size=(*lead, length, length))
-        allowed = np.ones((length, length), dtype=bool)
-        if masked:
-            allowed = rng.random((length, length)) < 0.5
-            np.fill_diagonal(allowed, True)
+        if kind == "full":
+            allowed = np.ones((length, length), dtype=bool)
+        elif kind == "random":
+            allowed = (rng.random((length, length)) < 0.5) | np.eye(length, dtype=bool)
+        elif kind == "build_mask":
+            allowed = build_mask(length, band, n_global)
+        else:
+            row = rng.random(length) < 0.5
+            row[rng.integers(length)] = True
+            allowed = np.broadcast_to(row, (1, length))
+        logits = rng.normal(0, 4, size=(*lead, allowed.shape[0], length))
         before = logits.copy()
         got = masked_softmax(logits, allowed)
         assert np.array_equal(got, softmax_reference(logits, allowed))
         assert np.array_equal(logits, before)
+
+    @pytest.mark.parametrize("batch", [1, 32])
+    def test_model_masks_bit_identical_to_textbook_form(self, batch):
+        cfg = SlatConfig()
+        rng = np.random.default_rng(batch)
+        for mask in masks_for(cfg):
+            logits = rng.normal(0, 4, size=(batch, cfg.heads, *mask.shape))
+            assert np.array_equal(masked_softmax(logits, mask), softmax_reference(logits, mask))
+
+    def test_row_allowing_nothing_is_refused(self):
+        allowed = np.ones((3, 4), dtype=bool)
+        allowed[1] = False
+        with pytest.raises(ValueError, match="mask row 1 allows no entry"):
+            masked_softmax(np.zeros((2, 3, 4)), allowed)
 
 
 def _random_mha_weights(rng, d, h, e, r=None):
