@@ -6,8 +6,8 @@ mode. For the default ``SlatConfig``, ``rank=None``, ``n_global=0`` and
 ``band_width=0, n_global=0`` (each encoder mask row allows one entry) the
 hash covers those windows, ``predict_rul`` at chunks of 1, 7 and 32, and six
 clipped Adam steps at batch 32: each step's predictions, pre-clip norm and
-gradients (values and key order), then the final parameters and the
-generator's end state.
+gradients (values and key order), then the final parameters, the bytes
+``save_checkpoint`` writes for them and the generator's end state.
 
 ``slat`` is imported from ``PYTHONPATH``, so one script fingerprints any
 checkout; compare two hashes on one machine, one thread each:
@@ -16,11 +16,13 @@ checkout; compare two hashes on one machine, one thread each:
 """
 
 import hashlib
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from slat import model, training
+from slat import checkpoint, model, training
 from slat.simulator import FaultMode, SimConfig, simulate_trajectory, trajectory_seed
 from slat.windowing import LabelConfig, build_dataset, fit_norm_stats
 
@@ -41,7 +43,7 @@ def _update(h, *arrays):
         h.update(np.ascontiguousarray(a).tobytes())
 
 
-def fingerprint() -> str:
+def fingerprint(work: Path) -> str:
     h = hashlib.sha256()
     windows = _windows(model.SlatConfig())
     _update(h, windows.values, windows.descriptors, windows.targets)
@@ -66,12 +68,15 @@ def fingerprint() -> str:
             training.adam_step(params, grads, state, training.TrainConfig())
         h.update(" ".join(params).encode())
         _update(h, *params.values())
+        checkpoint.save_checkpoint(work / "model.ckpt", params, cfg, {})
+        h.update((work / "model.ckpt").read_bytes())
         h.update(repr(rng.bit_generator.state).encode())
     return h.hexdigest()
 
 
 def main():
-    print(fingerprint())
+    with tempfile.TemporaryDirectory() as work:
+        print(fingerprint(Path(work)))
 
 
 if __name__ == "__main__":

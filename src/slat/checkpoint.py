@@ -1,15 +1,14 @@
 """Byte-stable model checkpoints.
 
 Layout: 8-byte magic, little-endian uint64 header length, a sorted-keys JSON
-header (model config, pipeline settings, tensor index), then each tensor's
-raw float64 bytes in index order. Writing the same state twice yields the
+header (model config, pipeline settings, tensor index), then ``Params.flat``,
+the float64 tensors in index order. Writing the same state twice yields the
 same bytes, which archive formats with embedded timestamps do not guarantee.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from itertools import zip_longest
@@ -17,33 +16,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import SlatConfig, param_shapes
+from .model import Params, SlatConfig, param_count, param_shapes
 
 MAGIC = b"SLATCK01"
 
 
-def save_checkpoint(path, params: dict, cfg: SlatConfig,
-                    pipeline: dict | None = None) -> None:
-    names = sorted(params)
-    index = []
-    blobs = []
-    for name in names:
-        arr = np.ascontiguousarray(np.asarray(params[name], dtype=np.float64))
-        index.append({"name": name, "shape": list(arr.shape)})
-        blobs.append(arr.tobytes())
+def save_checkpoint(path, params: Params, cfg: SlatConfig, pipeline: dict | None) -> None:
+    """Write the magic, the header length, the header and ``params.flat``, whose
+    sorted-name layout is the header's tensor index, in one write."""
     header = {
         "config": cfg.to_dict(),
         "pipeline": pipeline or {},
-        "tensors": index,
+        "tensors": [{"name": name, "shape": list(params[name].shape)}
+                    for name in sorted(params)],
         "dtype": "<f8",
     }
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(Path(path), "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(head)))
-        fh.write(head)
-        for blob in blobs:
-            fh.write(blob)
+        fh.writelines((MAGIC, struct.pack("<Q", len(head)), head, params.flat))
 
 
 def load_checkpoint(path):
@@ -76,16 +66,12 @@ def _read_checkpoint(fh):
     for i, (stored, want) in enumerate(zip_longest(header["tensors"], index)):
         if stored != want:
             raise ValueError(f"tensor entry {i} is {stored}, its config wants {want}")
-    sizes = [math.prod(shape) for _, shape in shapes]
-    flat = np.empty(sum(sizes), dtype="<f8")
+    flat = np.empty(param_count(cfg), dtype="<f8")
     if size - fh.tell() != flat.nbytes:
         raise ValueError(f"{size - fh.tell()} tensor bytes left, its config needs {flat.nbytes}")
     fh.readinto(flat)
-    ends = np.cumsum(sizes)
-    finite = np.isfinite(flat)
-    if not finite.all():
-        first = int(np.searchsorted(ends, np.argmin(finite), side="right"))
-        raise ValueError(f"tensor {shapes[first][0]} holds non-finite values")
-    params = {name: part.reshape(shape) for (name, shape), part
-              in zip(shapes, np.split(flat, ends[:-1]))}
+    params = Params(shapes, flat)
+    if not np.isfinite(flat).all():
+        first = next(name for name, view in params.items() if not np.isfinite(view).all())
+        raise ValueError(f"tensor {first} holds non-finite values")
     return params, cfg, dict(header.get("pipeline", {}))

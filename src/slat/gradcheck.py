@@ -62,7 +62,7 @@ class GradCheckResult:
     per_tensor: dict[str, float] = field(default_factory=dict)
     seconds: float = 0.0
 
-    def worst(self, k: int = 5) -> list[tuple[str, float]]:
+    def worst(self, k: int) -> list[tuple[str, float]]:
         return sorted(self.per_tensor.items(), key=lambda kv: -kv[1])[:k]
 
 

@@ -8,9 +8,9 @@ low-rank Q/K/V factors. Their outputs are concatenated along the token axis
 and a learned query token cross-attends to the fused sequence through the
 decoder blocks; a linear head maps the final query state to the scalar RUL.
 
-Parameters live in a flat ``dict[str, np.ndarray]`` so the optimizer,
-checkpointing and gradient checking can treat the model as a named tensor
-collection. A training forward (``train=True``) returns a cache consumed by
+Parameters live in a :class:`Params`, named views into one flat buffer that
+the optimizer, the best-epoch snapshot and the checkpoint writer each take as
+one array. A training forward (``train=True``) returns a cache consumed by
 :func:`backward`, which produces a gradient dict with exactly the same keys.
 Per block the cache keeps both layer norms' xhat, the attention cache, two
 bool dropout masks and the FFN's GELU output and slope; backward rebuilds the
@@ -158,21 +158,41 @@ _EMBED_LIKE = ("decoder.query", "sensor_embed.ident")
 _ATTN_KEYS = ("q_u", "k_u", "v_u", "out_w", "out_b", "q_v", "k_v", "v_v")
 
 
-def init_params(cfg: SlatConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+class Params(dict):
+    """Named views into one float64 buffer, ``flat``, laid out in sorted-name
+    order as a checkpoint stores it; the keys keep ``shapes``' order. Views
+    are written in place (``params[name] *= 2`` too): binding a name to
+    another array would leave ``flat`` behind, so it raises TypeError."""
+
+    def __init__(self, shapes, flat: np.ndarray):
+        views, at = {}, 0
+        for name, shape in sorted(shapes):
+            views[name] = flat[at:at + math.prod(shape)].reshape(shape)
+            at += math.prod(shape)
+        super().__init__((name, views[name]) for name, _ in shapes)
+        self.flat = flat
+
+    def __setitem__(self, name, value):
+        if value is not self.get(name):
+            raise TypeError(f"write Params in place, as params[{name!r}][...] = value")
+
+
+def init_params(cfg: SlatConfig, rng: np.random.Generator) -> Params:
     """Fan-in scaled uniform weights; zero biases; unit layer-norm gains."""
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(cfg):
+    shapes = param_shapes(cfg)
+    params = Params(shapes, np.empty(param_count(cfg)))
+    for name, shape in shapes:
         if name.endswith(".g"):
-            params[name] = np.ones(shape)
+            params[name][...] = 1.0
         elif name.endswith((".b", ".b1", ".b2")):
-            params[name] = np.zeros(shape)
+            params[name][...] = 0.0
         else:
             if name in _EMBED_LIKE:
                 fan_in = cfg.d_model
             else:
                 fan_in = shape[-2] if len(shape) >= 2 else shape[-1]
             bound = 1.0 / math.sqrt(fan_in)
-            params[name] = rng.uniform(-bound, bound, size=shape)
+            params[name][...] = rng.uniform(-bound, bound, size=shape)
     return params
 
 

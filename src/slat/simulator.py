@@ -30,7 +30,6 @@ constants, and ``AmplifierState`` holds only what varies during a run.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -150,10 +149,7 @@ def init_state() -> AmplifierState:
     """Healthy steady state; previous readings seeded so the first control
     step sees zero error."""
     state = AmplifierState(NOMINAL_CURRENT_1, NOMINAL_CURRENT_2)
-    inter, out = state.true_powers()
-    state.r1 = INPUT_POWER_DBM
-    state.r2 = inter + state.pd2_bias
-    state.r3 = out
+    observe(state, (0.0,) * N_CHANNELS)
     return state
 
 
@@ -186,12 +182,10 @@ def agc_step(state: AmplifierState) -> AmplifierState:
     return state
 
 
-def observe(state: AmplifierState, noise=None) -> list:
-    """Record one channel row and retain the power readings for the next
-    control step. ``noise`` holds the row's measurement noise, one value per
-    channel; with noise=None the observation is noise-free."""
+def observe(state: AmplifierState, noise) -> list:
+    """Record one channel row with ``noise``, one measurement-noise value per
+    channel, and retain the power readings for the next control step."""
     inter, out = state.true_powers()
-    noise = (0.0,) * N_CHANNELS if noise is None else noise
     p1 = state.pump_current_1 * state.pump_eff_1
     p2 = state.pump_current_2 * PUMP_EFF_2
     r1 = INPUT_POWER_DBM + noise[4]
@@ -234,10 +228,9 @@ def simulate_trajectory(cfg: SimConfig, seed, traj_id: str | None = None) -> Tra
     rng = np.random.default_rng(seed)
     rate = draw_drift_rate(cfg, rng)
     state = init_state()
-    noise_rows = (_noise_rows(rng, cfg.noise_std) if cfg.noise_scale > 0
-                  else itertools.repeat(None))
     rows = []
-    for t, noise in zip(range(MAX_STEPS), noise_rows):
+    # at noise_scale 0 the rows are +-0.0, which change no nonzero reading
+    for t, noise in zip(range(MAX_STEPS), _noise_rows(rng, cfg.noise_std)):
         inject_drift(state, cfg.mode, t, rate)
         agc_step(state)
         rows.append(observe(state, noise))

@@ -17,11 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from .evaluation import rmse
-from .model import SlatConfig, backward, forward, init_params, predict_rul
+from .model import Params, SlatConfig, backward, forward, init_params, param_shapes, predict_rul
 from .windowing import Windows
 
 # Adam's moment decay rates and the epsilon added outside the square root
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+ADAM_CHUNK = 16384  # elements per Adam pass, so that a pass works in cache
 
 
 class TrainingDiverged(RuntimeError):
@@ -71,14 +72,14 @@ def mse_loss(preds: np.ndarray, targets: np.ndarray):
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    """Adam's first and second moments, flat arrays laid out like ``Params.flat``."""
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
-    def init(cls, params: dict) -> "AdamState":
-        return cls(m={k: np.zeros_like(v) for k, v in params.items()},
-                   v={k: np.zeros_like(v) for k, v in params.items()})
+    def init(cls, params: Params) -> "AdamState":
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def clip_gradients(grads: dict, max_norm: float) -> float:
@@ -93,28 +94,31 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
     return norm
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> None:
-    """In-place bias-corrected Adam update; epsilon sits outside the sqrt."""
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for {name}")
+def adam_step(params: Params, grads: dict, state: AdamState, cfg: TrainConfig) -> None:
+    """Bias-corrected Adam (Kingma & Ba) on ``params.flat`` in place; epsilon sits
+    outside the sqrt. The gradients are gathered once into buffer order (never
+    written) and the update runs in chunks: whole-buffer passes stream from memory."""
+    g = np.concatenate([grads[name] for name in sorted(params)], axis=None)
+    if not np.isfinite(g).all():
+        first = next(name for name, x in grads.items() if not np.all(np.isfinite(x)))
+        raise FloatingPointError(f"non-finite gradient for {first}")
     state.step += 1
     t = state.step
     c1 = 1.0 - BETA1 ** t
     c2 = 1.0 - BETA2 ** t
-    # two temporaries per tensor; g is never written, since callers may keep it
-    for name, g in grads.items():
-        m, v = state.m[name], state.v[name]
-        tmp = np.multiply(g, 1.0 - BETA1)
+    tmp = np.empty(min(ADAM_CHUNK, g.size))
+    for lo in range(0, g.size, ADAM_CHUNK):
+        gc, m, v = (a[lo:lo + ADAM_CHUNK] for a in (g, state.m, state.v))
+        step = tmp[:gc.size]
         m *= BETA1
-        m += tmp
+        m += np.multiply(gc, 1.0 - BETA1, out=step)
         v *= BETA2
-        v += np.multiply(np.multiply(g, g, out=tmp), 1.0 - BETA2, out=tmp)
-        # lr * (m / c1) / (sqrt(v / c2) + eps)
-        step = np.multiply(np.divide(m, c1, out=tmp), cfg.learning_rate, out=tmp)
-        denom = np.divide(v, c2)
+        v += np.multiply(np.multiply(gc, gc, out=gc), 1.0 - BETA2, out=gc)
+        # lr * (m / c1) / (sqrt(v / c2) + eps); the gathered gradient is scratch now
+        np.multiply(np.divide(m, c1, out=step), cfg.learning_rate, out=step)
+        denom = np.divide(v, c2, out=gc)
         step /= np.add(np.sqrt(denom, out=denom), EPS, out=denom)
-        params[name] -= step
+        params.flat[lo:lo + ADAM_CHUNK] -= step
 
 
 def split_by_trajectory(windows: Windows, val_fraction: float,
@@ -143,19 +147,14 @@ class HistoryRow:
 
 @dataclass
 class TrainResult:
-    best_params: dict
+    best_params: Params
     history: list
     best_epoch: int
     best_val_rmse: float
     val_ids: list = field(default_factory=list)
 
 
-def _copy_params(params: dict) -> dict:
-    return {k: v.copy() for k, v in params.items()}
-
-
-def train(windows: Windows, model_cfg: SlatConfig,
-          train_cfg: TrainConfig | None = None) -> TrainResult:
+def train(windows: Windows, model_cfg: SlatConfig, train_cfg: TrainConfig) -> TrainResult:
     """Train on windows; track the best validation checkpoint.
 
     A trajectory-level fraction of the input is held out for validation, and
@@ -163,41 +162,40 @@ def train(windows: Windows, model_cfg: SlatConfig,
     val_fraction 0 (or a single source trajectory) every epoch is the best
     so far, so the final parameters are the best ones.
     """
-    tcfg = train_cfg or TrainConfig()
     if len(windows) == 0:
         raise ValueError("no training samples")
     rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=(int(tcfg.seed), 0x7261494E)))
+        np.random.SeedSequence(entropy=(int(train_cfg.seed), 0x7261494E)))
 
-    train_idx, val_idx, val_ids = split_by_trajectory(windows, tcfg.val_fraction, rng)
+    train_idx, val_idx, val_ids = split_by_trajectory(windows, train_cfg.val_fraction, rng)
     train_idx = np.asarray(train_idx)
     val = windows[val_idx] if val_idx else None
 
     params = init_params(model_cfg, rng)
     state = AdamState.init(params)
-    best_params = _copy_params(params)
+    best_params = Params(param_shapes(model_cfg), params.flat.copy())
     best_val = float("inf")
     best_epoch = 0
     history = []
     n = len(train_idx)
 
-    for epoch in range(tcfg.epochs):
+    for epoch in range(train_cfg.epochs):
         t0 = time.perf_counter()
         order = rng.permutation(n)
         losses = []
         # the loss and gradient checks below catch non-finite values
         with np.errstate(all="ignore"):
-            for b, start in enumerate(range(0, n, tcfg.batch_size)):
-                batch = windows[train_idx[order[start:start + tcfg.batch_size]]]
+            for b, start in enumerate(range(0, n, train_cfg.batch_size)):
+                batch = windows[train_idx[order[start:start + train_cfg.batch_size]]]
                 preds, cache = forward(params, model_cfg, batch.values,
                                        batch.descriptors, train=True, rng=rng)
                 loss, gpred = mse_loss(preds, batch.targets)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(epoch, b, f"loss={loss}")
                 grads = backward(params, model_cfg, cache, gpred)
-                clip_gradients(grads, tcfg.clip_norm)
+                clip_gradients(grads, train_cfg.clip_norm)
                 try:
-                    adam_step(params, grads, state, tcfg)
+                    adam_step(params, grads, state, train_cfg)
                 except FloatingPointError as exc:
                     raise TrainingDiverged(epoch, b, str(exc)) from exc
                 losses.append(loss)
@@ -206,13 +204,14 @@ def train(windows: Windows, model_cfg: SlatConfig,
         val_rmse = float("nan") if val is None else rmse(
             predict_rul(params, model_cfg, (val.values, val.descriptors)), val.targets)
         if val is None or val_rmse < best_val:
-            best_val, best_epoch, best_params = val_rmse, epoch, _copy_params(params)
+            best_val, best_epoch = val_rmse, epoch
+            np.copyto(best_params.flat, params.flat)
         train_loss = float(np.mean(losses))
         history.append(HistoryRow(epoch=epoch, train_loss=train_loss,
                                   val_rmse=val_rmse,
                                   seconds=time.perf_counter() - t0))
-        if (tcfg.stop_train_rmse is not None
-                and np.sqrt(train_loss) < tcfg.stop_train_rmse):
+        if (train_cfg.stop_train_rmse is not None
+                and np.sqrt(train_loss) < train_cfg.stop_train_rmse):
             break
 
     return TrainResult(best_params=best_params, history=history,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from slat.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from slat.model import SlatConfig, init_params
+from slat.model import Params, SlatConfig, init_params, param_shapes
 
 
 @pytest.fixture()
@@ -30,6 +30,27 @@ def test_roundtrip_exact(tmp_path, tiny_state):
     for k in params:
         np.testing.assert_array_equal(loaded[k], params[k])
         assert loaded[k].dtype == np.float64
+
+
+def test_bytes_are_magic_header_then_flat(tmp_path, tiny_state):
+    params, cfg, pipeline = tiny_state
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, params, cfg, pipeline)
+    index = [{"name": name, "shape": list(shape)} for name, shape in sorted(param_shapes(cfg))]
+    head = json.dumps({"config": cfg.to_dict(), "pipeline": pipeline, "tensors": index,
+                       "dtype": "<f8"}, sort_keys=True).encode("utf-8")
+    assert path.read_bytes() == (MAGIC + struct.pack("<Q", len(head)) + head
+                                 + params.flat.astype("<f8").tobytes())
+
+
+def test_loaded_views_share_one_buffer_in_sorted_name_order(tmp_path, tiny_state):
+    params, cfg, pipeline = tiny_state
+    save_checkpoint(tmp_path / "m.ckpt", params, cfg, pipeline)
+    loaded, _, _ = load_checkpoint(tmp_path / "m.ckpt")
+    assert list(loaded) == sorted(params)
+    loaded.flat[:] = np.arange(loaded.flat.size)
+    np.testing.assert_array_equal(np.concatenate(list(loaded.values()), axis=None),
+                                  np.arange(params.flat.size))
 
 
 def test_resave_is_byte_identical(tmp_path, tiny_state):
@@ -71,8 +92,7 @@ def test_rejects_tensors_its_config_does_not_list(tmp_path):
     refused, naming the first index entry that differs."""
     cfg = SlatConfig(n_stw=6, n_channels=2, d_model=8, time_blocks=1,
                      sensor_blocks=1, decoder_blocks=1, heads=2, rank=2)
-    params = {"w": np.arange(6, dtype=np.float64).reshape(2, 3),
-              "q": np.arange(4, dtype=np.float64)}
+    params = Params([("w", (2, 3)), ("q", (4,))], np.arange(10, dtype=np.float64))
     save_checkpoint(tmp_path / "s.ckpt", params, cfg, None)
     with pytest.raises(ValueError, match=r"tensor entry 0 is \{'name': 'q', 'shape': \[4\]\}"):
         load_checkpoint(tmp_path / "s.ckpt")
@@ -105,8 +125,8 @@ def test_rejects_removed_mask_mode(tmp_path, tiny_state):
 def test_rejects_non_finite_tensor(tmp_path, tiny_state, value):
     """The first tensor holding a non-finite value is named."""
     params, cfg, pipeline = tiny_state
-    params = {**params, "head.b": np.full_like(params["head.b"], value),
-              "time_embed.w": params["time_embed.w"] * value}
+    params["head.b"][...] = value
+    params["time_embed.w"] *= value
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, params, cfg, pipeline)
     with pytest.raises(ValueError, match=r"m\.ckpt: tensor head\.b holds non-finite"):

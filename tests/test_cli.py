@@ -13,6 +13,7 @@ import pytest
 import slat.cli
 from slat.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from slat.cli import _build_parser, main
+from slat.model import Params
 from slat.simulator import MODE_BASE_RATE
 from slat.windowing import FaultMode
 
@@ -270,7 +271,8 @@ class TestEvaluate:
         if change == "missing":
             del params["head.w"]
         else:
-            params["head.extra"] = params["head.b"].copy()
+            shapes = [(k, v.shape) for k, v in params.items()] + [("head.extra", (1,))]
+            params = Params(shapes, np.zeros(params.flat.size + 1))
         bad = tmp_path / "bad.ckpt"
         save_checkpoint(bad, params, cfg, pipeline)
         rc = main(["evaluate", "--corpus", str(workdir["corpus"]),
@@ -353,7 +355,7 @@ class TestEvaluate:
                                                            capsys, command):
         """A checkpoint holding a NaN would score NaN for every mode."""
         params, cfg, pipeline = load_checkpoint(workdir["run"] / "model.ckpt")
-        params["head.b"] = np.full_like(params["head.b"], np.nan)
+        params["head.b"][...] = np.nan
         bad = tmp_path / "bad.ckpt"
         save_checkpoint(bad, params, cfg, pipeline)
         out = tmp_path / "out"

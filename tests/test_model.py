@@ -95,6 +95,32 @@ class TestParams:
         np.testing.assert_array_equal(params["time_enc.0.ln1.b"], 0.0)
         np.testing.assert_array_equal(params["head.b"], 0.0)
 
+    def test_views_share_one_buffer_in_sorted_name_order(self):
+        """Keys keep ``param_shapes`` order; each view reads its own slice of
+        ``flat``, and the slices follow the sorted names."""
+        params = init_params(TINY, np.random.default_rng(2))
+        assert list(params) == [name for name, _ in param_shapes(TINY)]
+        params.flat[:] = np.arange(params.flat.size)
+        np.testing.assert_array_equal(
+            np.concatenate([params[k] for k in sorted(params)], axis=None),
+            np.arange(param_count(TINY)))
+
+    def test_rebinding_a_name_is_refused(self):
+        """A name bound to another array would leave the optimizer and the
+        checkpoint writer working on ``flat`` while the forward reads the new
+        array; in-place updates keep the view and pass."""
+        params = init_params(TINY, np.random.default_rng(3))
+        for name in ("head.b", "head.extra"):
+            with pytest.raises(TypeError, match=rf"params\['{name}'\]\[\.\.\.\]"):
+                params[name] = np.ones(1)
+        assert list(params) == [name for name, _ in param_shapes(TINY)]
+        np.testing.assert_array_equal(params["head.b"], 0.0)
+        head_w = params["head.w"]
+        kept = head_w.copy()
+        params["head.w"] *= 2.0
+        assert params["head.w"] is head_w and np.shares_memory(head_w, params.flat)
+        np.testing.assert_array_equal(head_w, 2.0 * kept)
+
 
 class TestEmbeddings:
     def test_time_tokens_shape_and_position_dependence(self):
@@ -362,8 +388,8 @@ class TestPredict:
         cfg = SlatConfig(**{**TINY.to_dict(), "rul_cap": 5.0})
         params = init_params(cfg, rng)
         # blow up the head weights to force out-of-range raw outputs
-        params["head.w"] = params["head.w"] * 1e4
-        params["head.b"] = params["head.b"] + 1e3
+        params["head.w"][...] *= 1e4
+        params["head.b"][...] += 1e3
         values, desc = make_batch(cfg, rng, b=8)
         preds = predict_rul(params, cfg, (values, desc))
         assert np.all(preds >= 0.0)
@@ -383,7 +409,7 @@ class TestPredict:
         cfg = SlatConfig()
         rng = np.random.default_rng(17)
         params = init_params(cfg, rng)
-        params["head.b"] = params["head.b"] + cfg.rul_cap / 2  # keep clear of the clamp
+        params["head.b"][...] += cfg.rul_cap / 2  # keep clear of the clamp
         values, desc = make_batch(cfg, rng, b=70)
         preds = predict_rul(params, cfg, (values, desc), batch_size=7)
         assert np.all((preds > 0.0) & (preds < cfg.rul_cap))
@@ -414,7 +440,7 @@ class TestPredict:
     def test_rows_are_independent_of_the_batch(self, b, seed, data):
         rng = np.random.default_rng(seed)
         params = init_params(TINY, rng)
-        params["head.b"] = params["head.b"] + TINY.rul_cap / 2  # keep clear of the clamp
+        params["head.b"][...] += TINY.rul_cap / 2  # keep clear of the clamp
         values, desc = make_batch(TINY, rng, b=b)
         whole = predict_rul(params, TINY, (values, desc))
         i = data.draw(st.integers(0, b - 1), label="row")

@@ -13,6 +13,7 @@ from slat.windowing import FaultMode
 
 # channel indices
 I1, I2, P1, P2, R1, R2, R3, VOA_SET, TEMP = range(9)
+NO_NOISE = (0.0,) * len(CHANNELS)
 
 
 def base_cfg(mode, **kw):
@@ -34,7 +35,7 @@ class TestSteadyState:
 
     def test_observe_noise_free_row_layout(self):
         state = init_state()
-        row = observe(state)
+        row = observe(state, NO_NOISE)
         assert len(row) == len(CHANNELS)
         assert row[I1] == pytest.approx(100.0)
         assert row[R1] == pytest.approx(-6.0)
@@ -59,7 +60,7 @@ class TestController:
         state.pump_eff_1 = PUMP_EFF_1 / 2.0
         for _ in range(200):
             agc_step(state)
-            observe(state)
+            observe(state, NO_NOISE)
         assert state.pump_current_1 == pytest.approx(200.0, abs=1e-6)
         assert state.pump_current_2 == pytest.approx(NOMINAL_CURRENT_2, abs=1e-6)
 
@@ -68,7 +69,7 @@ class TestController:
         state.pump_eff_1 = PUMP_EFF_1 / 10.0  # would need 1000 mA
         for _ in range(300):
             agc_step(state)
-            observe(state)
+            observe(state, NO_NOISE)
         assert state.pump_current_1 == I_MAX_MA
 
     def test_tracking_error_stays_in_band_noise_free(self):

@@ -6,8 +6,10 @@ import pytest
 
 import slat.training
 from oracles import adam_reference, retained_bytes, synthetic_windows
-from slat.model import SlatConfig, backward, forward, init_params
-from slat.training import (BETA1, BETA2, EPS, AdamState, TrainConfig,
+from slat.evaluation import rmse
+from slat.model import (Params, SlatConfig, backward, forward, init_params, param_shapes,
+                        predict_rul)
+from slat.training import (ADAM_CHUNK, BETA1, BETA2, EPS, AdamState, TrainConfig,
                            TrainingDiverged, adam_step, clip_gradients, mse_loss,
                            split_by_trajectory, train, write_history)
 
@@ -63,29 +65,37 @@ class TestLossAndClip:
 class TestAdam:
     def test_first_step_magnitude(self):
         # g = 0.5, lr = 1e-3: bias correction makes the first step ~= lr
-        params = {"w": np.array([1.0])}
+        params = Params([("w", (1,))], np.array([1.0]))
         state = AdamState.init(params)
         cfg = TrainConfig(learning_rate=1e-3)
         adam_step(params, {"w": np.array([0.5])}, state, cfg)
         assert abs(abs(params["w"][0] - 1.0) - 1e-3) < 1e-6
 
     def test_step_opposes_gradient_sign(self):
-        params = {"w": np.array([0.0, 0.0])}
+        params = Params([("w", (2,))], np.zeros(2))
         state = AdamState.init(params)
         adam_step(params, {"w": np.array([1.0, -1.0])},
                   state, TrainConfig(learning_rate=0.01))
         assert params["w"][0] < 0 < params["w"][1]
 
     def test_nonfinite_gradient_raises_with_name(self):
-        params = {"deep.tensor": np.zeros(2)}
+        params = Params([("deep.tensor", (2,)), ("a", (1,)), ("z", (1,))], np.zeros(4))
         state = AdamState.init(params)
+        grads = {"z": np.array([np.inf]), "deep.tensor": np.array([1.0, np.nan]),
+                 "a": np.array([np.nan])}
+        # the first bad tensor in the gradient dict's order, not the buffer's
+        with pytest.raises(FloatingPointError, match="for z$"):
+            adam_step(params, grads, state, TrainConfig())
+        grads["z"] = np.array([1.0])
         with pytest.raises(FloatingPointError, match="deep.tensor"):
-            adam_step(params, {"deep.tensor": np.array([1.0, np.nan])},
-                      state, TrainConfig())
+            adam_step(params, grads, state, TrainConfig())
+        assert state.step == 0 and not params.flat.any()
 
     def test_three_steps_bit_identical_to_textbook_form(self):
         rng = np.random.default_rng(3)
-        params = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=5)}
+        # "long" spans more than a chunk, so a chunk boundary falls inside it
+        shapes = [("b", (5,)), ("long", (ADAM_CHUNK + 9,)), ("a", (4, 3))]
+        params = Params(shapes, rng.normal(size=ADAM_CHUNK + 26))
         want = {k: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for k, p in params.items()}
         state = AdamState.init(params)
         cfg = TrainConfig(learning_rate=0.01)
@@ -97,13 +107,14 @@ class TestAdam:
                 assert np.array_equal(g, kept[k])  # gradients are never written
                 want[k] = adam_reference(*want[k][:1], g, *want[k][1:], t, cfg.learning_rate,
                                          BETA1, BETA2, EPS)
+        m, v = Params(shapes, state.m), Params(shapes, state.v)
         for k in params:
             assert np.array_equal(params[k], want[k][0])
-            assert np.array_equal(state.m[k], want[k][1])
-            assert np.array_equal(state.v[k], want[k][2])
+            assert np.array_equal(m[k], want[k][1])
+            assert np.array_equal(v[k], want[k][2])
 
     def test_state_tracks_step_count(self):
-        params = {"w": np.zeros(1)}
+        params = Params([("w", (1,))], np.zeros(1))
         state = AdamState.init(params)
         for _ in range(3):
             adam_step(params, {"w": np.ones(1)}, state, TrainConfig())
@@ -163,13 +174,25 @@ class TestTrainLoop:
         assert res.best_val_rmse == pytest.approx(min(rmses))
         assert res.best_epoch == int(np.argmin(rmses))
 
+    def test_best_params_are_a_snapshot_of_the_best_epoch(self):
+        """The epochs after the best one keep updating the live parameters;
+        the snapshot keeps the best epoch's, which score its RMSE again."""
+        samples = make_samples(40, seed=5, n_trajs=5)
+        res = train(samples, TINY, TrainConfig(epochs=6, batch_size=8, val_fraction=0.2,
+                                               seed=2, learning_rate=0.03))
+        assert res.best_epoch < len(res.history) - 1
+        assert list(res.best_params) == [name for name, _ in param_shapes(TINY)]
+        val = samples[np.flatnonzero(np.isin(samples.traj_ids, res.val_ids))]
+        preds = predict_rul(res.best_params, TINY, (val.values, val.descriptors))
+        assert rmse(preds, val.targets) == res.best_val_rmse
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_divergence_aborts_with_location(self, monkeypatch):
         samples = make_samples(8, seed=7)
 
         def poisoned(cfg, rng):  # a head weight that makes the very first loss non-finite
             params = init_params(cfg, rng)
-            params["head.w"] = params["head.w"] + np.inf
+            params["head.w"][...] += np.inf
             return params
         monkeypatch.setattr(slat.training, "init_params", poisoned)
         with pytest.raises(TrainingDiverged) as err:
