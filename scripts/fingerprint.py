@@ -7,7 +7,9 @@ mode. For the default ``SlatConfig``, ``rank=None``, ``n_global=0`` and
 hash covers those windows, ``predict_rul`` at chunks of 1, 7 and 32, and six
 clipped Adam steps at batch 32: each step's predictions, pre-clip norm and
 gradients (values and key order), then the final parameters, the bytes
-``save_checkpoint`` writes for them and the generator's end state.
+``save_checkpoint`` writes for them and the generator's end state. Last come
+the names and bytes of every file of two small corpora that ``generate_corpus``
+writes (seed 5, two trajectories per mode, noise scales 1 and 0).
 
 ``slat`` is imported from ``PYTHONPATH``, so one script fingerprints any
 checkout; compare two hashes on one machine, one thread each:
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from slat import checkpoint, model, training
+from slat import checkpoint, corpus, model, training
 from slat.simulator import FaultMode, SimConfig, simulate_trajectory, trajectory_seed
 from slat.windowing import LabelConfig, build_dataset, fit_norm_stats
 
@@ -71,6 +73,12 @@ def fingerprint(work: Path) -> str:
         checkpoint.save_checkpoint(work / "model.ckpt", params, cfg, {})
         h.update((work / "model.ckpt").read_bytes())
         h.update(repr(rng.bit_generator.state).encode())
+    for noise_scale in (1.0, 0.0):
+        root = corpus.generate_corpus(work / f"corpus_{noise_scale}", master_seed=5,
+                                      n_per_mode=2, noise_scale=noise_scale).root
+        for path in sorted(root.iterdir()):
+            h.update(path.name.encode())
+            h.update(path.read_bytes())
     return h.hexdigest()
 
 

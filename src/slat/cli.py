@@ -20,7 +20,7 @@ from . import checkpoint as ckpt
 from . import corpus as corpus_mod
 from .evaluation import (constant_baseline, evaluate, linear_baseline,
                          model_predictor, write_rtf_csv)
-from .gradcheck import check_model_gradients
+from .gradcheck import TINY_CONFIG, check_model_gradients
 from .model import SlatConfig
 from .training import TrainConfig, train, write_history
 from .windowing import build_dataset
@@ -218,7 +218,7 @@ def _cmd_baseline(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if not 0 < args.threshold < np.inf:
         raise ValueError(f"--threshold must be positive and finite, got {args.threshold}")
-    result = check_model_gradients(seed=args.seed)
+    result = check_model_gradients(TINY_CONFIG, args.seed)
     for name, err in result.worst(5):
         print(f"{name:<40s} {err:.3e}")
     print(f"max relative error: {result.max_rel_error:.3e} "

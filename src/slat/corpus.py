@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import simulator
-from .simulator import SimConfig, simulate_trajectory, trajectory_seed
+from .simulator import RATE_SCALE, SimConfig, simulate_trajectory, trajectory_seed
 from .windowing import (FaultMode, LabelConfig, NormStats, Trajectory,
                         fit_norm_stats, label_rul)
 
@@ -151,42 +151,32 @@ class Corpus:
 def generate_corpus(out_dir, master_seed: int, n_per_mode: int = 10,
                     n_stw: int = 30, stride: int = 1, rul_cap: float = 125.0,
                     noise_scale: float = 1.0,
-                    sim_configs: Sequence[SimConfig] | None = None) -> Corpus:
-    """Simulate every fault mode, split per mode, fit train-split stats and
-    write the corpus. Returns the loaded result. Settings that cannot make a
-    corpus raise ValueError before the output directory is created."""
+                    rate_scale: tuple[float, float] = RATE_SCALE) -> Corpus:
+    """Simulate ``n_per_mode`` trajectories of every fault mode, drift rates
+    drawn within ``rate_scale`` times the mode's base rate, split each mode,
+    fit train-split stats and write the corpus. Returns the loaded result.
+    Settings that cannot make a corpus raise ValueError before the output
+    directory is created."""
     label_cfg = LabelConfig(rul_cap=rul_cap)
-    if sim_configs is None:
-        sim_configs = [SimConfig(mode=m, n_trajectories=n_per_mode,
-                                 noise_scale=noise_scale) for m in FaultMode]
-    if len({cfg.mode for cfg in sim_configs}) < len(sim_configs):
-        raise ValueError("sim_configs repeat a fault mode; give each mode one config")
-    if len({cfg.noise_scale for cfg in sim_configs}) > 1:
-        raise ValueError("sim_configs mix noise_scale values; the manifest records one")
-
     trajs: dict = {}
     meta: dict = {}
-    for cfg in sim_configs:
-        mode_idx = list(FaultMode).index(cfg.mode)
-        for i in range(cfg.n_trajectories):
-            seed = trajectory_seed(master_seed, cfg.mode, i)
-            tid = f"{cfg.mode.value}_{i:03d}"
-            traj = simulate_trajectory(cfg, seed, traj_id=tid)
+    split: dict = {}
+    split_rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=(int(master_seed), 7919)))
+    for mode_idx, mode in enumerate(FaultMode):
+        cfg = SimConfig(mode=mode, rate_scale=rate_scale, noise_scale=noise_scale)
+        ids = [f"{mode.value}_{i:03d}" for i in range(n_per_mode)]
+        for i, tid in enumerate(ids):
+            traj = simulate_trajectory(cfg, trajectory_seed(master_seed, mode, i), traj_id=tid)
             if traj.n_steps < 2 * n_stw:
                 raise ValueError(
                     f"trajectory {tid} has {traj.n_steps} steps, "
                     f"need >= {2 * n_stw}; lower n_stw or slow the drift")
             trajs[tid] = traj
-            meta[tid] = {"id": tid, "mode": cfg.mode.value, "file": f"{tid}.csv",
+            meta[tid] = {"id": tid, "mode": mode.value, "file": f"{tid}.csv",
                          "n_steps": traj.n_steps, "failure_index": traj.failure_index,
                          "seed_entropy": [int(master_seed), mode_idx, i]}
-
-    split: dict = {}
-    split_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=(int(master_seed), 7919)))
-    for cfg in sim_configs:
-        ids = sorted(t for t in trajs if trajs[t].mode is cfg.mode)
-        train, test = _split_ids(ids, split_rng)
+        train, test = _split_ids(sorted(ids), split_rng)
         split |= dict.fromkeys(train, "train") | dict.fromkeys(test, "test")
     for tid in meta:
         meta[tid]["split"] = split[tid]
@@ -201,7 +191,7 @@ def generate_corpus(out_dir, master_seed: int, n_per_mode: int = 10,
         "stride": stride,
         "rul_cap": float(rul_cap),
         "train_frac": TRAIN_FRAC,
-        "noise_scale": float(sim_configs[0].noise_scale),
+        "noise_scale": float(noise_scale),
         "channels": list(simulator.CHANNELS),
         "norm_stats": stats.to_dict(),
         "trajectories": [meta[t] for t in sorted(meta)],

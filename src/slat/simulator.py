@@ -25,7 +25,9 @@ a (config, seed) pair reproduces a trajectory bit for bit.
 
 There is one simulated device: its setpoint, pump efficiencies, current
 limit, PI gains, failure limits and step budget (``MAX_STEPS``) are module
-constants, and ``AmplifierState`` holds only what varies during a run.
+constants, and ``AmplifierState`` holds only what varies during a run. A
+``SimConfig`` sets the fault mode, the drift-rate bounds as multiples of that
+mode's ``MODE_BASE_RATE`` and the scale of the measurement noise.
 """
 
 from __future__ import annotations
@@ -89,29 +91,27 @@ MODE_BASE_RATE = {
     FaultMode.PassiveComponents: 3.0 / 400.0,
 }
 
+# default log-uniform drift-rate bounds, as multiples of the mode's base rate
+RATE_SCALE = (0.5, 2.0)
+
 
 @dataclass(frozen=True)
 class SimConfig:
     mode: FaultMode
-    drift_rate_bounds: tuple[float, float] | None = None  # None -> 0.5x..2x base
+    rate_scale: tuple[float, float] = RATE_SCALE
     noise_scale: float = 1.0
-    n_trajectories: int = 10
 
     def __post_init__(self):
         lo, hi = self.rate_bounds
-        if not (0 < lo <= hi):
-            raise ValueError(f"bad drift rate bounds ({lo}, {hi})")
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError(f"bad drift rate scale {self.rate_scale}")
         if not 0 <= self.noise_scale < math.inf:
             raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
-        if self.n_trajectories < 1:
-            raise ValueError("n_trajectories must be >= 1")
 
     @property
     def rate_bounds(self) -> tuple[float, float]:
-        if self.drift_rate_bounds is not None:
-            return self.drift_rate_bounds
         base = MODE_BASE_RATE[self.mode]
-        return (0.5 * base, 2.0 * base)
+        return (self.rate_scale[0] * base, self.rate_scale[1] * base)
 
     @property
     def noise_std(self) -> np.ndarray:

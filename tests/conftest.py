@@ -15,20 +15,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from slat.corpus import generate_corpus
 from slat.model import SlatConfig
-from slat.simulator import MODE_BASE_RATE
-from slat.windowing import FaultMode
 
 
 @pytest.fixture(scope="session")
 def small_corpus(tmp_path_factory):
     """Two trajectories per mode, fast drift so trajectories stay short."""
     root = tmp_path_factory.mktemp("corpus")
-    from slat.simulator import SimConfig
-    cfgs = [SimConfig(mode=m, n_trajectories=2,
-                      drift_rate_bounds=(1.8 * MODE_BASE_RATE[m],
-                                         2.0 * MODE_BASE_RATE[m]))
-            for m in FaultMode]
-    return generate_corpus(root, master_seed=11, sim_configs=cfgs,
+    return generate_corpus(root, master_seed=11, n_per_mode=2, rate_scale=(1.8, 2.0),
                            n_stw=30, stride=1)
 
 

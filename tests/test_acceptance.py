@@ -31,9 +31,8 @@ from slat.evaluation import (
     linear_baseline,
     model_predictor,
 )
-from slat.gradcheck import check_model_gradients
+from slat.gradcheck import TINY_CONFIG, check_model_gradients
 from slat.model import SlatConfig, param_count, param_shapes
-from slat.simulator import MODE_BASE_RATE, SimConfig
 from slat.training import TrainConfig, train
 from slat.windowing import (
     FaultMode,
@@ -47,7 +46,7 @@ from slat.windowing import (
 def test_gradients_match_finite_differences():
     """Analytic gradients vs central differences (h=1e-5) on a tiny model:
     max relative error < 1e-3 over every parameter tensor, under 60 s."""
-    result = check_model_gradients(seed=0)
+    result = check_model_gradients(TINY_CONFIG, 0)
     print(f"max rel err {result.max_rel_error:.3e} over "
           f"{len(result.per_tensor)} tensors in {result.seconds:.1f}s; "
           f"worst: {result.worst(3)}")
@@ -206,12 +205,8 @@ def test_pipeline_rerun_is_bit_identical(tmp_path):
     corpus_trees, checkpoints, reports = [], [], []
     for run in ("first", "second"):
         root = tmp_path / run
-        sim_cfgs = [SimConfig(mode=m, n_trajectories=2,
-                              drift_rate_bounds=(1.8 * MODE_BASE_RATE[m],
-                                                 2.0 * MODE_BASE_RATE[m]))
-                    for m in FaultMode]
-        corpus = generate_corpus(root / "corpus", master_seed=7,
-                                 sim_configs=sim_cfgs)
+        corpus = generate_corpus(root / "corpus", master_seed=7, n_per_mode=2,
+                                 rate_scale=(1.8, 2.0))
         corpus_trees.append({
             p.relative_to(root / "corpus").as_posix(): p.read_bytes()
             for p in sorted((root / "corpus").rglob("*")) if p.is_file()})

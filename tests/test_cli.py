@@ -14,8 +14,6 @@ import slat.cli
 from slat.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from slat.cli import _build_parser, main
 from slat.model import Params
-from slat.simulator import MODE_BASE_RATE
-from slat.windowing import FaultMode
 
 TINY_MODEL = {"d_model": 8, "time_blocks": 1, "sensor_blocks": 1,
               "decoder_blocks": 1, "heads": 2, "ffn_mult": 2, "rank": 2,
@@ -29,13 +27,9 @@ def workdir(tmp_path_factory):
     corpus = root / "corpus"
     run = root / "run"
     # fast drift keeps trajectories near 200 steps
-    import slat.simulator as sim
     import slat.corpus as corpus_mod
-    cfgs = [sim.SimConfig(mode=m, n_trajectories=2,
-                          drift_rate_bounds=(1.8 * MODE_BASE_RATE[m],
-                                             2.0 * MODE_BASE_RATE[m]))
-            for m in FaultMode]
-    corpus_mod.generate_corpus(corpus, master_seed=2, sim_configs=cfgs, n_stw=30)
+    corpus_mod.generate_corpus(corpus, master_seed=2, n_per_mode=2, rate_scale=(1.8, 2.0),
+                               n_stw=30)
     model_json = root / "model.json"
     model_json.write_text(json.dumps(TINY_MODEL))
     rc = main(["train", "--corpus", str(corpus), "--out", str(run),
@@ -139,8 +133,9 @@ class TestGenerate:
         (["--stride", "0"], "stride"),
         (["--n-stw", "1"], "window length"),
         (["--n-stw", "400", "--seed", "1"], "PL_000 has 397 steps, need >= 800"),
+        (["--trajectories", "1"], "need at least 2 trajectories per mode"),
     ], ids=["nan", "inf", "rul_cap_zero", "rul_cap_nan", "stride_zero", "n_stw_one",
-            "n_stw_too_long"])
+            "n_stw_too_long", "one_trajectory"])
     def test_non_finite_noise_scale_is_runtime_error(self, tmp_path, capsys, args, named):
         # a NaN noise scale used to skip the noise and write NaN into
         # manifest.json; every case here used to leave an empty --out behind
@@ -475,7 +470,7 @@ class TestGradcheck:
         # refused before the check runs: nan, 0 and -1 would fail any
         # gradients, and inf would pass any finite error
         monkeypatch.setattr(slat.cli, "check_model_gradients",
-                            lambda **kw: pytest.fail("the check ran"))
+                            lambda *args: pytest.fail("the check ran"))
         assert main(["gradcheck", "--threshold", threshold]) == 2
         err = capsys.readouterr().err
         assert err == (f"slat: error: --threshold must be positive and finite, "

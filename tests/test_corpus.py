@@ -7,15 +7,10 @@ import pytest
 
 from slat.corpus import (_read_trajectory_csv, _write_trajectory_csv, generate_corpus,
                          load_corpus)
-from slat.simulator import CHANNELS, MODE_BASE_RATE, SimConfig, simulate_trajectory
+from slat.simulator import CASE_TEMP_C, CHANNELS, SimConfig, simulate_trajectory
 from slat.windowing import FaultMode, LabelConfig, Trajectory
 
-
-def fast_configs(n=2):
-    return [SimConfig(mode=m, n_trajectories=n,
-                      drift_rate_bounds=(1.8 * MODE_BASE_RATE[m],
-                                         2.0 * MODE_BASE_RATE[m]))
-            for m in FaultMode]
+FAST = (1.8, 2.0)  # drift-rate scale that keeps trajectories near 200 steps
 
 
 class TestManifest:
@@ -33,12 +28,26 @@ class TestManifest:
 
     def test_split_sizes_at_larger_counts(self, tmp_path):
         corpus = generate_corpus(tmp_path / "c10", master_seed=3,
-                                 sim_configs=fast_configs(5), n_stw=30)
+                                 n_per_mode=5, rate_scale=FAST, n_stw=30)
         for mode in FaultMode:
             ids = [t for t in corpus.trajectories
                    if corpus.trajectories[t].mode is mode]
             train = [t for t in ids if corpus.split[t] == "train"]
             assert len(train) == 4  # max(1, round(0.2*5)) = 1 held out
+
+    def test_every_argument_reaches_the_corpus(self, tmp_path):
+        corpus = generate_corpus(tmp_path / "c", master_seed=4, n_per_mode=3,
+                                 noise_scale=0.0, rate_scale=FAST)
+        assert corpus.manifest["noise_scale"] == 0.0
+        for mode in FaultMode:
+            # noise-free, a run is shorter the faster its drift
+            shortest, longest = (simulate_trajectory(SimConfig(mode, (s, s), 0.0), 0).n_steps
+                                 for s in FAST[::-1])
+            trajs = [t for t in corpus.trajectories.values() if t.mode is mode]
+            assert len(trajs) == 3, mode
+            for traj in trajs:
+                assert shortest <= traj.n_steps <= longest, (mode, traj.n_steps)
+                assert np.all(traj.channels[:, -1] == CASE_TEMP_C), traj.traj_id
 
     def test_norm_stats_fitted_on_train_split_only(self, small_corpus):
         from slat.windowing import fit_norm_stats
@@ -116,9 +125,9 @@ class TestMatchesCsvModuleOracle:
 class TestDeterminism:
     def test_regeneration_is_byte_identical(self, tmp_path):
         a = generate_corpus(tmp_path / "a", master_seed=9,
-                            sim_configs=fast_configs(), n_stw=30)
+                            n_per_mode=2, rate_scale=FAST, n_stw=30)
         b = generate_corpus(tmp_path / "b", master_seed=9,
-                            sim_configs=fast_configs(), n_stw=30)
+                            n_per_mode=2, rate_scale=FAST, n_stw=30)
         files = sorted(p.name for p in a.root.iterdir())
         assert files == sorted(p.name for p in b.root.iterdir())
         match, mismatch, errors = filecmp.cmpfiles(a.root, b.root, files,
@@ -127,9 +136,9 @@ class TestDeterminism:
 
     def test_master_seed_changes_content(self, tmp_path):
         a = generate_corpus(tmp_path / "s1", master_seed=1,
-                            sim_configs=fast_configs(), n_stw=30)
+                            n_per_mode=2, rate_scale=FAST, n_stw=30)
         b = generate_corpus(tmp_path / "s2", master_seed=2,
-                            sim_configs=fast_configs(), n_stw=30)
+                            n_per_mode=2, rate_scale=FAST, n_stw=30)
         tid = a.ids()[0]
         assert not np.array_equal(a.trajectories[tid].channels,
                                   b.trajectories[tid].channels)
@@ -161,20 +170,4 @@ class TestLoading:
     def test_too_short_trajectories_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             generate_corpus(tmp_path / "short", master_seed=0,
-                            sim_configs=fast_configs(), n_stw=200)
-
-    @pytest.mark.parametrize("cfgs, named", [
-        # the case that overwrote VOA_000 and VOA_001 and drew the VOA split twice
-        ([*fast_configs(), SimConfig(mode=FaultMode.VOA, noise_scale=0.0)], "repeat a fault mode"),
-        ([*fast_configs(), SimConfig(mode=FaultMode.VOA)], "repeat a fault mode"),
-        # the manifest recorded the first config's noise_scale for every run
-        ([*fast_configs()[:3], SimConfig(mode=FaultMode.PassiveComponents, noise_scale=0.0)],
-         "mix noise_scale"),
-    ], ids=["repeated_mode_other_noise", "repeated_mode", "mixed_noise_scales"])
-    def test_bad_sim_configs_refused_before_simulating(self, tmp_path, monkeypatch,
-                                                       cfgs, named):
-        import slat.corpus
-        monkeypatch.setattr(slat.corpus, "simulate_trajectory", None)  # a call would fail
-        with pytest.raises(ValueError, match=named):
-            generate_corpus(tmp_path / "c", master_seed=0, sim_configs=cfgs, n_stw=30)
-        assert not (tmp_path / "c").exists()
+                            n_per_mode=2, rate_scale=FAST, n_stw=200)

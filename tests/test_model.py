@@ -272,8 +272,12 @@ class TestBackward:
         result = check_model_gradients(replace(TINY_CONFIG, **overrides), seed=0)
         assert result.max_rel_error < 1e-3, result.worst(3)
 
+    def test_gradcheck_refuses_dropout(self):
+        with pytest.raises(ValueError, match="dropout needs an rng"):
+            check_model_gradients(replace(TINY_CONFIG, dropout=0.1), 0)
+
     def test_dropout_backward_matches_finite_differences(self):
-        # check_model_gradients runs without dropout; here every forward gets a
+        # check_model_gradients refuses dropout; here every forward gets a
         # fresh generator with one seed, so every evaluation draws the same masks
         cfg = replace(TINY_CONFIG, dropout=0.5)
         rng = np.random.default_rng(12)

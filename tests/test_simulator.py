@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import oracles
 import pytest
 
 from slat import simulator
 from slat.simulator import (BASE_NOISE_STD, CHANNELS, FAILURE_LIMIT_DB, I_MAX_MA,
-                            MAX_STEPS, MODE_BASE_RATE, NOISE_BLOCK, NOMINAL_CURRENT_1,
+                            MAX_STEPS, NOISE_BLOCK, NOMINAL_CURRENT_1,
                             NOMINAL_CURRENT_2, PASSIVE_LOSS_DB, PUMP_EFF_1,
-                            STAGE1_TARGET_DB, STAGE2_TARGET_DB, SimConfig, agc_step,
-                            draw_drift_rate, init_state, inject_drift,
+                            RATE_SCALE, STAGE1_TARGET_DB, STAGE2_TARGET_DB, SimConfig,
+                            agc_step, draw_drift_rate, init_state, inject_drift,
                             observe, simulate_trajectory, trajectory_seed)
 from slat.windowing import FaultMode
 
@@ -17,8 +19,7 @@ NO_NOISE = (0.0,) * len(CHANNELS)
 
 
 def base_cfg(mode, **kw):
-    kw.setdefault("drift_rate_bounds",
-                  (MODE_BASE_RATE[mode], MODE_BASE_RATE[mode]))
+    kw.setdefault("rate_scale", (1.0, 1.0))
     return SimConfig(mode=mode, **kw)
 
 
@@ -158,9 +159,7 @@ class TestTrajectories:
 
     def test_pump_failure_window_around_step_400(self):
         # rates within 15% of base must fail inside [300, 500]
-        base = MODE_BASE_RATE[FaultMode.PumpLaser]
-        cfg = SimConfig(mode=FaultMode.PumpLaser,
-                        drift_rate_bounds=(0.85 * base, 1.15 * base))
+        cfg = SimConfig(mode=FaultMode.PumpLaser, rate_scale=(0.85, 1.15))
         fails = [simulate_trajectory(cfg, trajectory_seed(21, cfg.mode, i)).failure_index
                  for i in range(20)]
         assert all(300 <= f <= 500 for f in fails)
@@ -168,9 +167,8 @@ class TestTrajectories:
 
     def test_every_mode_reaches_failure_at_bound_edges(self):
         for mode in FaultMode:
-            lo, hi = SimConfig(mode=mode).rate_bounds
-            for rate in (lo, hi):
-                cfg = SimConfig(mode=mode, drift_rate_bounds=(rate, rate))
+            for scale in RATE_SCALE:
+                cfg = SimConfig(mode=mode, rate_scale=(scale, scale))
                 traj = simulate_trajectory(cfg, 1)
                 assert 2 * 30 <= traj.n_steps <= MAX_STEPS, mode
 
@@ -194,8 +192,7 @@ class TestMatchesPerStepOracle:
 
     @pytest.mark.parametrize("mode", list(FaultMode))
     def test_trajectories_spanning_several_noise_blocks(self, mode):
-        rate = 0.25 * MODE_BASE_RATE[mode]
-        traj = self.assert_matches_oracle(base_cfg(mode, drift_rate_bounds=(rate, rate)), 8)
+        traj = self.assert_matches_oracle(base_cfg(mode, rate_scale=(0.25, 0.25)), 8)
         assert traj.n_steps > 3 * NOISE_BLOCK
 
     @pytest.mark.parametrize("mode", list(FaultMode))
@@ -278,10 +275,9 @@ class TestModeSignatures:
 
 class TestConfigValidation:
     def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            SimConfig(mode=FaultMode.VOA, drift_rate_bounds=(0.0, 0.01))
-        with pytest.raises(ValueError):
-            SimConfig(mode=FaultMode.VOA, drift_rate_bounds=(0.02, 0.01))
+        for scale in ((0.0, 1.0), (2.0, 1.0), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="bad drift rate scale"):
+                SimConfig(mode=FaultMode.VOA, rate_scale=scale)
         with pytest.raises(ValueError):
             SimConfig(mode=FaultMode.VOA, noise_scale=-1.0)
 
