@@ -37,7 +37,7 @@ from .attention import build_mask, mha_backward, mha_forward
 
 # Accepted Python types per annotation; bools are refused even where int is.
 _FIELD_TYPES = {"int": numbers.Integral, "int | None": (numbers.Integral, type(None)),
-                "float": numbers.Real, "str": str}
+                "float": numbers.Real}
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,8 @@ class Params(dict):
 
 
 def init_params(cfg: SlatConfig, rng: np.random.Generator) -> Params:
-    """Fan-in scaled uniform weights; zero biases; unit layer-norm gains."""
+    """``*.g`` start at 1 and ``*.b``, ``*.b1``, ``*.b2`` at 0. Every other tensor,
+    ``attn.out_b`` too, is uniform within 1/sqrt(fan_in) (d_model for _EMBED_LIKE)."""
     shapes = param_shapes(cfg)
     params = Params(shapes, np.empty(param_count(cfg)))
     for name, shape in shapes:

@@ -46,12 +46,14 @@ from slat.windowing import (
 def test_gradients_match_finite_differences():
     """Analytic gradients vs central differences (h=1e-5) on a tiny model:
     max relative error < 1e-3 over every parameter tensor, under 60 s."""
-    result = check_model_gradients(TINY_CONFIG, 0)
-    print(f"max rel err {result.max_rel_error:.3e} over "
-          f"{len(result.per_tensor)} tensors in {result.seconds:.1f}s; "
-          f"worst: {result.worst(3)}")
-    assert result.max_rel_error < 1e-3, result.worst(5)
-    assert result.seconds < 60.0
+    start = time.perf_counter()
+    errors = check_model_gradients(TINY_CONFIG, 0)
+    seconds = time.perf_counter() - start
+    worst = max(errors, key=errors.get)
+    print(f"max rel err {errors[worst]:.3e} ({worst}) over {len(errors)} tensors "
+          f"in {seconds:.1f}s")
+    assert all(err < 1e-3 for err in errors.values()), errors
+    assert seconds < 60.0
 
 
 def test_full_mask_and_fullrank_factors_recover_dense_attention():
